@@ -37,7 +37,11 @@ struct WorkloadRow {
     sessions: usize,
     shards: usize,
     segments: u64,
-    bytes: u64,
+    /// Captured payload bytes: what the monitor scans.
+    captured_bytes: u64,
+    /// Wire bytes, including snapped bulk-transfer remainders; a
+    /// volume only, never a rate.
+    wire_bytes: u64,
     throughput: Throughput,
     parallel_speedup: Option<f64>,
     streaming_peak_live_flows: u64,
@@ -124,10 +128,11 @@ fn main() {
         rayon::current_num_threads()
     );
     println!(
-        "{:<16} {:>9} {:>8} {:>11} {:>11} {:>11} {:>11} {:>8} {:>10}",
+        "{:<16} {:>9} {:>8} {:>9} {:>11} {:>11} {:>11} {:>11} {:>8} {:>10}",
         "workload",
         "segments",
-        "MB",
+        "cap MB",
+        "wire MB",
         "seq (sg/s)",
         "par (sg/s)",
         "shrd (sg/s)",
@@ -174,10 +179,11 @@ fn main() {
             f64::NAN
         };
         println!(
-            "{:<16} {:>9} {:>8.1} {:>11.0} {:>11.0} {:>11.0} {:>11.0} {:>7.2}x {:>10}",
+            "{:<16} {:>9} {:>8.1} {:>9.1} {:>11.0} {:>11.0} {:>11.0} {:>11.0} {:>7.2}x {:>10}",
             format!("{servers} srv x {sessions}"),
             s.segments,
-            s.bytes as f64 / 1e6,
+            s.captured_bytes as f64 / 1e6,
+            s.wire_bytes as f64 / 1e6,
             tput(seq_secs),
             tput(par_secs),
             tput(sharded_secs),
@@ -190,7 +196,8 @@ fn main() {
             sessions,
             shards,
             segments: s.segments,
-            bytes: s.bytes,
+            captured_bytes: s.captured_bytes,
+            wire_bytes: s.wire_bytes,
             throughput: Throughput {
                 sequential: finite(tput(seq_secs)),
                 parallel: finite(tput(par_secs)),
@@ -207,7 +214,10 @@ fn main() {
     println!(
         " per-point shard width; strm = online streaming engine whose peak-live column shows the"
     );
-    println!(" bounded flow-table high-water mark the batch paths don't have.)");
+    println!(
+        " bounded flow-table high-water mark the batch paths don't have. cap MB = captured payload"
+    );
+    println!(" the monitor scans; wire MB also counts snapped bulk-transfer remainders, so no rate uses it.)");
 
     // End-to-end: batch pipeline (materialize, then analyze) vs the
     // fused streamed pipeline (generation overlaps analysis, no trace).

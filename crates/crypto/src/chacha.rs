@@ -42,6 +42,14 @@ fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) 
     state[b] = (state[b] ^ state[c]).rotate_left(7);
 }
 
+/// `data[i] ^= keystream[i]` over two equal-length slices.
+#[inline(always)]
+fn xor_in(data: &mut [u8], keystream: &[u8]) {
+    for (d, k) in data.iter_mut().zip(keystream) {
+        *d ^= k;
+    }
+}
+
 impl ChaCha20 {
     /// Create a cipher from a 32-byte key and 12-byte nonce, with the block
     /// counter starting at `counter` (RFC 8439 uses 1 for AEAD payloads; raw
@@ -103,13 +111,26 @@ impl ChaCha20 {
     }
 
     /// XOR `data` in place with the keystream (encryption == decryption).
+    ///
+    /// Works block-wise: the rest of the current keystream block, then
+    /// whole 64-byte blocks, then a partial tail whose unused keystream
+    /// is kept for the next call.
     pub fn apply(&mut self, data: &mut [u8]) {
-        for byte in data.iter_mut() {
-            if self.block_pos == 64 {
-                self.refill();
-            }
-            *byte ^= self.block[self.block_pos];
-            self.block_pos += 1;
+        let head = (64 - self.block_pos).min(data.len());
+        let (first, rest) = data.split_at_mut(head);
+        xor_in(first, &self.block[self.block_pos..self.block_pos + head]);
+        self.block_pos += head;
+        let mut blocks = rest.chunks_exact_mut(64);
+        for chunk in &mut blocks {
+            self.refill();
+            xor_in(chunk, &self.block);
+            self.block_pos = 64;
+        }
+        let tail = blocks.into_remainder();
+        if !tail.is_empty() {
+            self.refill();
+            xor_in(tail, &self.block[..tail.len()]);
+            self.block_pos = tail.len();
         }
     }
 

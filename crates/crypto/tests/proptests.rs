@@ -3,7 +3,7 @@
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_crypto::hex;
-use ja_crypto::hmac::{ct_eq, hmac_sha256, verify, HmacSha256};
+use ja_crypto::hmac::{ct_eq, hmac_sha256, hmac_sha256_parts, verify, HmacSha256};
 use ja_crypto::sha256::{sha256, Sha256};
 use proptest::prelude::*;
 
@@ -56,6 +56,30 @@ proptest! {
         prop_assert_eq!(mac.finalize(), want);
     }
 
+    /// A keyed instance built once signs like re-keying per message, for
+    /// keys on both sides of the block size (longer keys are hashed
+    /// first) and any split of the message into parts; signing leaves
+    /// the instance reusable.
+    #[test]
+    fn hmac_prekeyed_sign_parts(key in proptest::collection::vec(any::<u8>(), 0..200),
+                                msg in proptest::collection::vec(any::<u8>(), 0..512),
+                                cuts in proptest::collection::vec(0usize..512, 0..6)) {
+        let mut points: Vec<usize> = cuts.iter().map(|&c| c % (msg.len() + 1)).collect();
+        points.sort_unstable();
+        let mut parts: Vec<&[u8]> = Vec::new();
+        let mut prev = 0;
+        for &p in &points {
+            parts.push(&msg[prev..p]);
+            prev = p;
+        }
+        parts.push(&msg[prev..]);
+        let mac = HmacSha256::new(&key);
+        let want = hmac_sha256_parts(&key, &parts);
+        prop_assert_eq!(mac.sign_parts(&parts), want);
+        prop_assert_eq!(mac.sign_parts(&parts), want);
+        prop_assert_eq!(mac.sign_parts(&[&msg]), hmac_sha256(&key, &msg));
+    }
+
     /// ct_eq is true iff the slices are equal.
     #[test]
     fn ct_eq_is_eq(a in proptest::collection::vec(any::<u8>(), 0..64),
@@ -70,6 +94,46 @@ proptest! {
         let ct = ChaCha20::from_seed(&seed).encrypt(&msg);
         let pt = ChaCha20::from_seed(&seed).encrypt(&ct);
         prop_assert_eq!(pt, msg);
+    }
+
+    /// Block-wise `apply` over any chunking, starting at any offset inside
+    /// a keystream block, equals XOR with the one-shot keystream and with
+    /// a keystream drawn one byte at a time. Chunks flagged `aligned` end
+    /// exactly on a block boundary, so calls that consume only whole
+    /// blocks (no partial tail) are exercised too.
+    #[test]
+    fn chacha_chunked_apply_matches_keystream(
+        seed in proptest::collection::vec(any::<u8>(), 1..32),
+        skip in 0usize..64,
+        msg in proptest::collection::vec(any::<u8>(), 0..1024),
+        sizes in proptest::collection::vec((0usize..200, any::<bool>()), 1..12)) {
+        let oneshot = ChaCha20::from_seed(&seed).keystream(skip + msg.len());
+        let mut bytewise = ChaCha20::from_seed(&seed);
+        let mut byte_ks = vec![0u8; skip + msg.len()];
+        for b in byte_ks.iter_mut() {
+            bytewise.apply(std::slice::from_mut(b));
+        }
+        prop_assert_eq!(&oneshot, &byte_ks);
+        let want: Vec<u8> = msg.iter().zip(&oneshot[skip..]).map(|(m, k)| m ^ k).collect();
+
+        let mut c = ChaCha20::from_seed(&seed);
+        c.apply(&mut vec![0u8; skip]);
+        let mut got = msg.clone();
+        let mut pos = 0;
+        for &(n, aligned) in sizes.iter().cycle() {
+            if pos == got.len() {
+                break;
+            }
+            let n = if aligned {
+                (64 - (skip + pos) % 64) % 64 + 64 * (n % 3)
+            } else {
+                n
+            };
+            let end = (pos + n.max(1)).min(got.len());
+            c.apply(&mut got[pos..end]);
+            pos = end;
+        }
+        prop_assert_eq!(got, want);
     }
 
     /// Entropy is bounded by [0, 8] bits and merge matches concatenation.

@@ -14,6 +14,13 @@ use crate::messages::{
     ExecutionState, Header, MsgType, ReplyStatus, StatusContent, StreamContent,
 };
 use crate::wire::{WireError, WireMessage};
+use ja_crypto::hmac::HmacSha256;
+
+/// The keyed MAC a session signs and verifies with, built once per
+/// session; an empty key disables signing.
+fn session_mac(key: &[u8]) -> Option<HmacSha256> {
+    (!key.is_empty()).then(|| HmacSha256::new(key))
+}
 
 /// What executing a cell "does", as observable protocol output. The
 /// kernel simulator derives this from its effect model; tests construct
@@ -109,7 +116,7 @@ pub struct ClientSession {
     pub session_id: String,
     /// Authenticated username.
     pub username: String,
-    key: Vec<u8>,
+    mac: Option<HmacSha256>,
     seq: u64,
 }
 
@@ -119,7 +126,7 @@ impl ClientSession {
         ClientSession {
             session_id: session_id.to_string(),
             username: username.to_string(),
-            key: key.to_vec(),
+            mac: session_mac(key),
             seq: 0,
         }
     }
@@ -129,7 +136,7 @@ impl ClientSession {
         let header = Header::new(msg_type, &self.session_id, &self.username, self.seq, sim_us);
         self.seq += 1;
         WireMessage::build(
-            &self.key,
+            self.mac.as_ref(),
             vec![self.session_id.as_bytes().to_vec()],
             &header,
             None,
@@ -170,7 +177,7 @@ impl ClientSession {
         let mut error = None;
         let mut reply: Option<ExecuteReply> = None;
         for (channel, msg) in replies {
-            if !msg.verify(&self.key) {
+            if !msg.verify(self.mac.as_ref()) {
                 return Err(WireError::BadSignature);
             }
             let header = msg.parsed_header()?;
@@ -220,7 +227,7 @@ impl ClientSession {
 pub struct KernelSession {
     /// Kernel-side session id (distinct from client session).
     pub kernel_session_id: String,
-    key: Vec<u8>,
+    mac: Option<HmacSha256>,
     execution_count: u32,
     seq: u64,
     state: ExecutionState,
@@ -231,7 +238,7 @@ impl KernelSession {
     pub fn new(kernel_session_id: &str, key: &[u8]) -> Self {
         KernelSession {
             kernel_session_id: kernel_session_id.to_string(),
-            key: key.to_vec(),
+            mac: session_mac(key),
             execution_count: 0,
             seq: 0,
             state: ExecutionState::Starting,
@@ -263,7 +270,13 @@ impl KernelSession {
             sim_us,
         );
         self.seq += 1;
-        WireMessage::build(&self.key, vec![], &header, Some(parent), content_json)
+        WireMessage::build(
+            self.mac.as_ref(),
+            vec![],
+            &header,
+            Some(parent),
+            content_json,
+        )
     }
 
     fn status(&mut self, parent: &Header, state: ExecutionState, sim_us: u64) -> WireMessage {
@@ -292,7 +305,7 @@ impl KernelSession {
         effect: &CellEffect,
         sim_us: u64,
     ) -> Result<Vec<(Channel, WireMessage)>, WireError> {
-        if !request.verify(&self.key) {
+        if !request.verify(self.mac.as_ref()) {
             return Err(WireError::BadSignature);
         }
         let parent = request.parsed_header()?;
@@ -386,7 +399,7 @@ impl KernelSession {
         request: &WireMessage,
         sim_us: u64,
     ) -> Result<Vec<(Channel, WireMessage)>, WireError> {
-        if !request.verify(&self.key) {
+        if !request.verify(self.mac.as_ref()) {
             return Err(WireError::BadSignature);
         }
         let parent = request.parsed_header()?;
@@ -523,8 +536,9 @@ mod tests {
             .handle_execute(&req, &CellEffect::stdout("hi\n"), 6)
             .unwrap();
         let parent = req.parsed_header().unwrap();
+        let mac = HmacSha256::new(KEY);
         for (_, m) in &msgs {
-            assert!(m.verify(KEY));
+            assert!(m.verify(Some(&mac)));
             let p: Header = serde_json::from_str(&m.parent_header).unwrap();
             assert_eq!(p.msg_id, parent.msg_id);
         }

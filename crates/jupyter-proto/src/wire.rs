@@ -13,7 +13,7 @@
 //! WebSocket frames.
 
 use crate::messages::{Header, MsgType};
-use ja_crypto::hmac;
+use ja_crypto::hmac::{self, HmacSha256};
 
 /// The ZMQ delimiter separating routing identities from the payload.
 pub const DELIMITER: &[u8] = b"<IDS|MSG>";
@@ -68,10 +68,10 @@ impl std::fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 impl WireMessage {
-    /// Build and sign a message. `key` empty ⇒ unsigned (the
-    /// misconfigured deployments do this).
+    /// Build and sign a message with the session's keyed `mac`. `None`
+    /// ⇒ unsigned (the misconfigured deployments do this).
     pub fn build(
-        key: &[u8],
+        mac: Option<&HmacSha256>,
         identities: Vec<Vec<u8>>,
         header: &Header,
         parent: Option<&Header>,
@@ -83,19 +83,17 @@ impl WireMessage {
             None => "{}".to_string(),
         };
         let metadata_s = "{}".to_string();
-        let signature = if key.is_empty() {
-            String::new()
-        } else {
-            let tag = hmac::hmac_sha256_parts(
-                key,
-                &[
+        let signature = match mac {
+            None => String::new(),
+            Some(mac) => {
+                let tag = mac.sign_parts(&[
                     header_s.as_bytes(),
                     parent_s.as_bytes(),
                     metadata_s.as_bytes(),
                     content_json.as_bytes(),
-                ],
-            );
-            ja_crypto::hex::encode(&tag)
+                ]);
+                ja_crypto::hex::encode(&tag)
+            }
         };
         WireMessage {
             identities,
@@ -108,24 +106,22 @@ impl WireMessage {
         }
     }
 
-    /// Verify the signature under `key`. Unsigned messages verify only
-    /// when the key is also empty (i.e. signing disabled consistently).
-    pub fn verify(&self, key: &[u8]) -> bool {
-        if key.is_empty() {
+    /// Verify the signature under the keyed `mac`. Unsigned messages
+    /// verify only when `mac` is also `None` (i.e. signing disabled
+    /// consistently).
+    pub fn verify(&self, mac: Option<&HmacSha256>) -> bool {
+        let Some(mac) = mac else {
             return self.signature.is_empty();
-        }
+        };
         let Ok(tag) = ja_crypto::hex::decode(&self.signature) else {
             return false;
         };
-        let want = hmac::hmac_sha256_parts(
-            key,
-            &[
-                self.header.as_bytes(),
-                self.parent_header.as_bytes(),
-                self.metadata.as_bytes(),
-                self.content.as_bytes(),
-            ],
-        );
+        let want = mac.sign_parts(&[
+            self.header.as_bytes(),
+            self.parent_header.as_bytes(),
+            self.metadata.as_bytes(),
+            self.content.as_bytes(),
+        ]);
         hmac::ct_eq(&want, &tag)
     }
 
@@ -239,47 +235,51 @@ mod tests {
         b"test-signing-key".to_vec()
     }
 
-    fn sample(key: &[u8]) -> WireMessage {
+    fn sample(mac: Option<&HmacSha256>) -> WireMessage {
         let h = Header::new(MsgType::ExecuteRequest, "sess-1", "alice", 0, 100);
         let content = serde_json::to_string(&ExecuteRequest::new("print(42)")).unwrap();
-        WireMessage::build(key, vec![b"client-7".to_vec()], &h, None, content)
+        WireMessage::build(mac, vec![b"client-7".to_vec()], &h, None, content)
+    }
+
+    fn signed() -> WireMessage {
+        sample(Some(&HmacSha256::new(&key())))
     }
 
     #[test]
     fn build_verifies_under_same_key() {
-        let m = sample(&key());
-        assert!(m.verify(&key()));
-        assert!(!m.verify(b"wrong-key"));
+        let m = signed();
+        assert!(m.verify(Some(&HmacSha256::new(&key()))));
+        assert!(!m.verify(Some(&HmacSha256::new(b"wrong-key"))));
     }
 
     #[test]
     fn unsigned_message_requires_unsigned_verification() {
-        let m = sample(&[]);
+        let m = sample(None);
         assert!(m.signature.is_empty());
-        assert!(m.verify(&[]));
-        assert!(!m.verify(&key()));
+        assert!(m.verify(None));
+        assert!(!m.verify(Some(&HmacSha256::new(&key()))));
     }
 
     #[test]
     fn tampered_content_fails_verification() {
-        let mut m = sample(&key());
+        let mut m = signed();
         m.content = m.content.replace("42", "43");
-        assert!(!m.verify(&key()));
+        assert!(!m.verify(Some(&HmacSha256::new(&key()))));
     }
 
     #[test]
     fn tampered_header_fails_verification() {
-        let mut m = sample(&key());
+        let mut m = signed();
         m.header = m.header.replace("alice", "mallory");
-        assert!(!m.verify(&key()));
+        assert!(!m.verify(Some(&HmacSha256::new(&key()))));
     }
 
     #[test]
     fn parts_round_trip() {
-        let m = sample(&key());
+        let m = signed();
         let back = WireMessage::from_parts(m.to_parts()).unwrap();
         assert_eq!(back, m);
-        assert!(back.verify(&key()));
+        assert!(back.verify(Some(&HmacSha256::new(&key()))));
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        let mut m = sample(&key());
+        let mut m = signed();
         m.buffers.push(vec![0u8; 100]);
         let bytes = m.encode();
         let (back, used) = WireMessage::decode(&bytes).unwrap().unwrap();
@@ -312,7 +312,7 @@ mod tests {
 
     #[test]
     fn decode_incremental() {
-        let m = sample(&key());
+        let m = signed();
         let bytes = m.encode();
         for cut in 0..bytes.len() {
             assert!(
@@ -324,10 +324,10 @@ mod tests {
 
     #[test]
     fn decode_two_messages_back_to_back() {
-        let a = sample(&key());
+        let a = signed();
         let h = Header::new(MsgType::Status, "sess-1", "alice", 1, 200);
         let b = WireMessage::build(
-            &key(),
+            Some(&HmacSha256::new(&key())),
             vec![],
             &h,
             None,
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn header_parses_back() {
-        let m = sample(&key());
+        let m = signed();
         assert_eq!(m.msg_type(), Some(MsgType::ExecuteRequest));
         let h = m.parsed_header().unwrap();
         assert_eq!(h.username, "alice");
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn signature_is_hmac_of_four_dicts() {
         // Cross-check against a manual HMAC computation.
-        let m = sample(&key());
+        let m = signed();
         let tag = ja_crypto::hmac::hmac_sha256_parts(
             &key(),
             &[
@@ -375,7 +375,7 @@ mod tests {
 
     #[test]
     fn payload_len_counts_everything() {
-        let mut m = sample(&key());
+        let mut m = signed();
         let base = m.payload_len();
         m.buffers.push(vec![1, 2, 3]);
         assert_eq!(m.payload_len(), base + 3);

@@ -12,7 +12,7 @@ use crate::events::{SysEvent, SysEventKind};
 use crate::process::{Pid, ProcessTable};
 use crate::terminal::TerminalSession;
 use crate::transport::SessionDelivery;
-use crate::vfs::Vfs;
+use crate::vfs::{repeat_to_len, Vfs};
 use ja_crypto::chacha::ChaCha20;
 use ja_crypto::entropy::ByteStats;
 use ja_crypto::sha256::sha256;
@@ -584,9 +584,9 @@ impl NotebookServer {
         (effect, t)
     }
 
-    /// Generate an outbound payload. Actual bytes are capped (large
-    /// transfers are represented by a capped sample with the true size
-    /// recorded in flow accounting via repeated sends).
+    /// Generate an outbound payload. Actual bytes are capped at 64 KiB:
+    /// a larger transfer is this capped sample, and the caller records
+    /// its true size in flow accounting through `send_snapped`.
     fn gen_payload(&mut self, bytes: u64, entropy_high: bool, t: SimTime) -> Vec<u8> {
         let len = bytes.min(64 * 1024) as usize;
         if entropy_high {
@@ -594,12 +594,10 @@ impl NotebookServer {
             seed.extend_from_slice(&t.as_micros().to_le_bytes());
             ChaCha20::from_seed(&seed).keystream(len)
         } else {
-            b"GET /telemetry?value=0.173&run=12 HTTP/1.1\r\nHost: data.example\r\n\r\n"
-                .iter()
-                .cycle()
-                .take(len)
-                .copied()
-                .collect()
+            repeat_to_len(
+                b"GET /telemetry?value=0.173&run=12 HTTP/1.1\r\nHost: data.example\r\n\r\n",
+                len,
+            )
         }
     }
 

@@ -35,20 +35,21 @@ pub const SAMPLE_LEN: usize = 1024;
 /// Generate a deterministic content sample of `kind`.
 pub fn generate_sample(kind: ContentKind, rng: &mut SimRng) -> Vec<u8> {
     match kind {
-        ContentKind::Text => {
-            let corpus = b"import numpy as np\n# compute spectral density\nfor i in range(N):\n    psd[i] = fft(x[i])\n";
-            corpus.iter().cycle().take(SAMPLE_LEN).copied().collect()
-        }
+        ContentKind::Text => repeat_to_len(
+            b"import numpy as np\n# compute spectral density\nfor i in range(N):\n    psd[i] = fft(x[i])\n",
+            SAMPLE_LEN,
+        ),
         ContentKind::Csv => {
-            let mut out = Vec::with_capacity(SAMPLE_LEN);
+            // Lines of `{id},{:.4},{:.4}`, written digit by digit; the
+            // longest line is 22 bytes, so the buffer never regrows.
+            let mut out = Vec::with_capacity(SAMPLE_LEN + 32);
             while out.len() < SAMPLE_LEN {
-                let line = format!(
-                    "{},{:.4},{:.4}\n",
-                    rng.range(0, 100000),
-                    rng.f64() * 100.0,
-                    rng.f64()
-                );
-                out.extend_from_slice(line.as_bytes());
+                push_u64(&mut out, rng.range(0, 100000));
+                out.push(b',');
+                push_fixed4(&mut out, rng.f64() * 100.0);
+                out.push(b',');
+                push_fixed4(&mut out, rng.f64());
+                out.push(b'\n');
             }
             out.truncate(SAMPLE_LEN);
             out
@@ -70,6 +71,81 @@ pub fn generate_sample(kind: ContentKind, rng: &mut SimRng) -> Vec<u8> {
             ChaCha20::from_seed(&seed).keystream(SAMPLE_LEN)
         }
     }
+}
+
+/// `pattern` repeated back to back and cut to `len` bytes (`pattern`
+/// must not be empty).
+pub(crate) fn repeat_to_len(pattern: &[u8], len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    while out.len() < len {
+        let take = pattern.len().min(len - out.len());
+        out.extend_from_slice(&pattern[..take]);
+    }
+    out
+}
+
+/// Append the decimal digits of `v`.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[i..]);
+}
+
+/// Append `x` with four decimals, byte for byte as `format!("{x:.4}")`
+/// writes it: the exact binary value times 10⁴, rounded half to even.
+///
+/// Defined for `0 <= x < 1e15` (non-negative zero included); panics
+/// outside that range.
+pub fn push_fixed4(out: &mut Vec<u8>, x: f64) {
+    assert!(
+        x.is_sign_positive() && x < 1e15,
+        "push_fixed4 needs 0 <= x < 1e15, got {x}"
+    );
+    // x = m · 2^e exactly, with m < 2^53.
+    let bits = x.to_bits();
+    let biased = (bits >> 52) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | (1 << 52), biased - 1075)
+    };
+    // x < 1e15 < 2^50 and m >= 2^52 for normal x, so x = m / 2^s with
+    // s >= 3, and x·10⁴ = n / 2^s.
+    let s = (-e) as u32;
+    let n = u128::from(m) * 10_000;
+    let scaled = if s > 100 {
+        // n < 2^67 is below half a unit: rounds to zero.
+        0
+    } else {
+        let q = n >> s;
+        let r = n & ((1 << s) - 1);
+        let half = 1 << (s - 1);
+        if r > half || (r == half && q & 1 == 1) {
+            q + 1
+        } else {
+            q
+        }
+    };
+    // x < 1e15 keeps x·10⁴ below 2^64.
+    let scaled = scaled as u64;
+    push_u64(out, scaled / 10_000);
+    let f = (scaled % 10_000) as u16;
+    out.extend_from_slice(&[
+        b'.',
+        b'0' + (f / 1000) as u8,
+        b'0' + (f / 100 % 10) as u8,
+        b'0' + (f / 10 % 10) as u8,
+        b'0' + (f % 10) as u8,
+    ]);
 }
 
 /// A file in the virtual filesystem.

@@ -4,7 +4,7 @@ use ja_kernelsim::actions::{Action, CellScript};
 use ja_kernelsim::config::{MisconfigClass, ServerConfig, TransportMode};
 use ja_kernelsim::process::ProcessTable;
 use ja_kernelsim::server::{message_cipher_seed, NotebookServer};
-use ja_kernelsim::vfs::{ContentKind, Vfs};
+use ja_kernelsim::vfs::{generate_sample, push_fixed4, ContentKind, Vfs, SAMPLE_LEN};
 use ja_netsim::addr::{HostAddr, HostId};
 use ja_netsim::network::Network;
 use ja_netsim::rng::SimRng;
@@ -22,7 +22,98 @@ fn arb_kind() -> impl Strategy<Value = ContentKind> {
     ]
 }
 
+/// The `format!`-based CSV sample generator the digit writer replaced,
+/// kept as the oracle it must match byte for byte.
+fn csv_sample_oracle(rng: &mut SimRng) -> Vec<u8> {
+    let mut out = Vec::with_capacity(SAMPLE_LEN);
+    while out.len() < SAMPLE_LEN {
+        let line = format!(
+            "{},{:.4},{:.4}\n",
+            rng.range(0, 100000),
+            rng.f64() * 100.0,
+            rng.f64()
+        );
+        out.extend_from_slice(line.as_bytes());
+    }
+    out.truncate(SAMPLE_LEN);
+    out
+}
+
+fn fixed4(x: f64) -> String {
+    let mut out = Vec::new();
+    push_fixed4(&mut out, x);
+    String::from_utf8(out).expect("ASCII digits")
+}
+
+/// Zero, subnormals, the normal boundary and exact ties written out.
+#[test]
+fn fixed4_edge_cases_match_std() {
+    for x in [
+        0.0,
+        f64::from_bits(1),
+        f64::from_bits((1 << 52) - 1),
+        f64::MIN_POSITIVE,
+        0.00005,
+        0.00015,
+        0.03125,
+        0.09375,
+        0.5,
+        99.99995,
+        99.999_999_999,
+        999_999.999_95,
+        1e15 - 0.125,
+    ] {
+        assert_eq!(fixed4(x), format!("{x:.4}"), "{x:e}");
+    }
+    assert_eq!(fixed4(0.03125), "0.0312");
+    assert_eq!(fixed4(0.09375), "0.0938");
+}
+
+/// The text sample is its corpus repeated and cut to the sample length.
+#[test]
+fn text_sample_repeats_corpus() {
+    let corpus = b"import numpy as np\n# compute spectral density\nfor i in range(N):\n    psd[i] = fft(x[i])\n";
+    let want: Vec<u8> = corpus.iter().cycle().take(SAMPLE_LEN).copied().collect();
+    assert_eq!(
+        generate_sample(ContentKind::Text, &mut SimRng::new(0)),
+        want
+    );
+}
+
 proptest! {
+    /// The digit writer equals `format!("{:.4}")` on every non-negative
+    /// double below 1e6, drawn as raw bit patterns (positive doubles
+    /// order like their bits, so this covers zero and subnormals too).
+    #[test]
+    fn fixed4_matches_std_on_bit_patterns(
+        bits in proptest::collection::vec(0u64..1e6f64.to_bits(), 1..256)) {
+        for b in bits {
+            let x = f64::from_bits(b);
+            prop_assert_eq!(fixed4(x), format!("{x:.4}"));
+        }
+    }
+
+    /// Exact binary fractions `k / 2^n` put half-way cases in the fifth
+    /// decimal; both round half to even.
+    #[test]
+    fn fixed4_matches_std_on_ties(
+        ks in proptest::collection::vec((0u64..1 << 24, 0i32..40), 1..256)) {
+        for (k, n) in ks {
+            let x = k as f64 / 2f64.powi(n);
+            prop_assert_eq!(fixed4(x), format!("{x:.4}"));
+        }
+    }
+
+    /// A CSV sample from the digit writer equals one from the old
+    /// `format!` generator, and both leave the RNG at the same point.
+    #[test]
+    fn csv_sample_matches_format_oracle(seed in any::<u64>()) {
+        let mut a = SimRng::new(seed);
+        let mut b = SimRng::new(seed);
+        prop_assert_eq!(generate_sample(ContentKind::Csv, &mut a), csv_sample_oracle(&mut b));
+        prop_assert_eq!(a.state(), b.state());
+    }
+
     /// Any sequence of create/rename/delete keeps the VFS consistent:
     /// successful reads only on live paths, file count matches the model.
     #[test]

@@ -60,8 +60,13 @@ impl FlowSummary {
 pub struct TraceSummary {
     /// Segment count.
     pub segments: u64,
-    /// Total payload bytes.
-    pub bytes: u64,
+    /// Captured payload bytes (`payload.len()` summed): what a monitor
+    /// actually scans.
+    pub captured_bytes: u64,
+    /// Bytes on the wire (`wire_len` summed), including the uncaptured
+    /// remainder of snapped bulk transfers. A traffic volume, never a
+    /// scan rate.
+    pub wire_bytes: u64,
     /// Distinct flows.
     pub flows: u64,
     /// Capture duration (first to last record).
@@ -104,10 +109,12 @@ impl Trace {
     /// Aggregate statistics.
     pub fn summary(&self) -> TraceSummary {
         let mut flows = std::collections::HashSet::new();
-        let mut bytes = 0u64;
+        let mut captured_bytes = 0u64;
+        let mut wire_bytes = 0u64;
         for r in &self.records {
             flows.insert(r.flow_id);
-            bytes += r.wire_len as u64;
+            captured_bytes += r.payload.len() as u64;
+            wire_bytes += r.wire_len as u64;
         }
         let duration_secs = match (self.records.first(), self.records.last()) {
             (Some(a), Some(b)) => b.time.since(a.time).as_secs_f64(),
@@ -115,7 +122,8 @@ impl Trace {
         };
         TraceSummary {
             segments: self.records.len() as u64,
-            bytes,
+            captured_bytes,
+            wire_bytes,
             flows: flows.len() as u64,
             duration_secs,
         }
@@ -237,9 +245,28 @@ mod tests {
         let t = build_trace();
         let s = t.summary();
         assert_eq!(s.flows, 2);
-        assert_eq!(s.bytes, 10 + 4 + 2);
+        assert_eq!(s.captured_bytes, 10 + 4 + 2);
+        assert_eq!(s.wire_bytes, 10 + 4 + 2);
         assert!(s.segments >= 7);
         assert!(s.duration_secs > 0.0);
+    }
+
+    #[test]
+    fn summary_separates_captured_from_wire_bytes() {
+        let a = HostAddr::internal(HostId(1));
+        let b = HostAddr::external(2);
+        let mut net = Network::new();
+        let f = net.open(SimTime::ZERO, a, 1000, b, 443);
+        net.send_snapped(
+            SimTime::from_millis(1),
+            f,
+            Direction::ToResponder,
+            b"head",
+            1_000_000,
+        );
+        let s = net.into_trace().summary();
+        assert_eq!(s.captured_bytes, 4);
+        assert_eq!(s.wire_bytes, 1_000_000);
     }
 
     #[test]
