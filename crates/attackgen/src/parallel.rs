@@ -112,14 +112,16 @@ pub fn partition_campaigns(
 /// Run `campaigns` against `deployment` with up to `producers` scenario
 /// threads, delivering every item to `sink` in canonical sequential
 /// order. `producers <= 1` (or a plan that collapses to one group) runs
-/// the fused single-threaded stream with no threading overhead; the
-/// output is bit-identical either way.
+/// the fused single-threaded stream with no threading overhead and
+/// lends that stream to `sink` alongside each item, so the caller can
+/// observe producer state (`None` when items come off the merge of
+/// several producer threads). The items are bit-identical either way.
 pub fn run_parallel(
     deployment: &mut Deployment,
     campaigns: Vec<(SimTime, Campaign)>,
     rng_seed: u64,
     producers: usize,
-    mut sink: impl FnMut(ScenarioItem),
+    mut sink: impl FnMut(ScenarioItem, Option<&ScenarioStream<'_>>),
 ) -> ParallelOutcome {
     let n_servers = deployment.servers.len();
     let groups = if producers <= 1 {
@@ -130,7 +132,7 @@ pub fn run_parallel(
     if groups.len() <= 1 {
         let mut stream = ScenarioStream::new(deployment, campaigns, rng_seed);
         while let Some(item) = stream.next_item() {
-            sink(item);
+            sink(item, Some(&stream));
         }
         let (ground_truth, end) = stream.into_labels();
         return ParallelOutcome {
@@ -241,7 +243,7 @@ pub fn run_parallel(
                 "merge keys must strictly increase"
             );
             last_key = Some(key);
-            sink(item);
+            sink(item, None);
             heads[min_i].refill();
         }
         for h in handles {
@@ -307,7 +309,9 @@ mod tests {
             let mut d2 = Deployment::build(&DeploymentSpec::small_lab(21));
             let campaigns2 = plan(&d2);
             let mut par = Vec::new();
-            let out = run_parallel(&mut d2, campaigns2, 9, producers, |item| {
+            let out = run_parallel(&mut d2, campaigns2, 9, producers, |item, lent| {
+                // Merged items come off several threads: no stream to lend.
+                assert!(lent.is_none());
                 par.push(fingerprint(&item));
             });
             assert!(out.producers_used >= 2, "plan should split");
@@ -421,7 +425,7 @@ mod tests {
             ),
         ];
         let mut par = Vec::new();
-        let out = run_parallel(&mut d2, plan2, 9, 4, |item| par.push(fingerprint(&item)));
+        let out = run_parallel(&mut d2, plan2, 9, 4, |item, _| par.push(fingerprint(&item)));
         assert_eq!(out.producers_used, 2);
         assert_eq!(seq, par, "interactive plans must merge bit-identically");
         assert_eq!(seq_gt.len(), out.ground_truth.len());
@@ -439,9 +443,19 @@ mod tests {
     fn single_producer_and_empty_plan_degenerate_cleanly() {
         let mut d = Deployment::build(&DeploymentSpec::small_lab(24));
         let mut n = 0usize;
-        let out = run_parallel(&mut d, Vec::new(), 1, 8, |_| n += 1);
+        let out = run_parallel(&mut d, Vec::new(), 1, 8, |_, _| n += 1);
         assert_eq!(n, 0);
         assert_eq!(out.ground_truth.len(), 0);
+        assert_eq!(out.producers_used, 1);
+        // One producer lends its stream with every item, so the caller
+        // can snapshot producer state at any watermark.
+        let campaigns = plan(&d);
+        let mut lent = 0usize;
+        let out = run_parallel(&mut d, campaigns, 9, 1, |_, stream| {
+            assert!(stream.is_some());
+            lent += 1;
+        });
+        assert!(lent > 0);
         assert_eq!(out.producers_used, 1);
     }
 }

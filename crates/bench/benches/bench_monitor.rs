@@ -1,9 +1,11 @@
 //! E5 (criterion leg) — monitor analysis cost on a fixed mid-size
-//! capture: sequential vs rayon-parallel, the measured core of the
-//! paper's "unsustainable performance overhead" lesson.
+//! capture: sequential vs flow-sharded across the available cores, the
+//! measured core of the paper's "unsustainable performance overhead"
+//! lesson.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ja_monitor::engine::{Monitor, MonitorConfig};
+use ja_monitor::streaming::{FanoutSpec, StreamingConfig};
 use std::hint::black_box;
 
 fn bench_monitor(c: &mut Criterion) {
@@ -16,8 +18,17 @@ fn bench_monitor(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| black_box(monitor.analyze(black_box(&trace))))
     });
+    let fanout = FanoutSpec::with_shards(rayon::current_num_threads());
     group.bench_function("parallel", |b| {
-        b.iter(|| black_box(monitor.analyze_parallel(black_box(&trace))))
+        b.iter(|| {
+            black_box(
+                monitor.analyze_stream(fanout, StreamingConfig::batch(), |sink| {
+                    for r in black_box(&trace).records() {
+                        sink.accept(r.clone());
+                    }
+                }),
+            )
+        })
     });
     group.finish();
 }

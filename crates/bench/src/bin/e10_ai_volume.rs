@@ -24,7 +24,8 @@ fn main() {
     );
     for volume in [1usize, 2, 5, 10, 20, 40] {
         let mut cfg = PipelineConfig::small_lab(seed);
-        cfg.parallel = true;
+        cfg.shards = None;
+        cfg.producers = None;
         let mut p = Pipeline::new(cfg);
         let mut rng = SimRng::new(seed + volume as u64);
         let classes = [

@@ -10,9 +10,9 @@
 //! - **worm time-to-detection** — sim-time lag between the notebook
 //!   worm's first action and the first account-takeover alert, plus how
 //!   many servers it reached and on how many it was flagged;
-//! - **path equivalence** — the interactive plan replayed on
-//!   `run_streamed` and `run_streamed_parallel` must produce the same
-//!   alert stream bit-for-bit (the determinism the proptests pin,
+//! - **path equivalence** — the interactive plan replayed on the inline
+//!   engine and on a 2-producer × 2-shard `run_streamed` must produce
+//!   the same alert stream bit-for-bit (the determinism the proptests pin,
 //!   spot-checked here on the bench workload).
 //!
 //! `--tiny` shrinks the workload for CI smoke; `--json` writes
@@ -255,11 +255,11 @@ fn main() {
         "detection lag {ttd_secs:.0}s outside the campaign window {window:.0}s"
     );
 
-    // -- path equivalence: streamed vs fully fanned-out parallel.
+    // -- path equivalence: inline engine vs 2 producers x 2 shards.
     let mut pcfg = config(servers, seed);
     pcfg.shards = Some(2);
     pcfg.producers = Some(2);
-    let par = Pipeline::new(pcfg).run_streamed_parallel(&interactive_plan(benign, seed));
+    let par = Pipeline::new(pcfg).run_streamed(&interactive_plan(benign, seed));
     let identical = fingerprint(&out.report.alerts) == fingerprint(&par.report.alerts);
     assert!(
         identical,
@@ -268,7 +268,7 @@ fn main() {
         par.report.alerts.len()
     );
     println!(
-        "\npath equivalence: {} alerts IDENTICAL on run_streamed and run_streamed_parallel",
+        "\npath equivalence: {} alerts IDENTICAL on the inline and 2x2 engine geometries",
         out.report.alerts.len()
     );
 

@@ -2,11 +2,13 @@
 //! increasing, and a security auditor may add unsustainable performance
 //! overhead … one must harness the power of supercomputers". We sweep
 //! offered load and compare four monitor configurations: the sequential
-//! batch path, the rayon flow-sharded path, a fixed-width sharded run,
-//! and the online streaming engine (bounded memory, per-close
-//! eviction). A final section compares the two *end-to-end* pipeline
-//! modes — batch (materialize trace, then analyze) vs fused streaming
-//! (generation pumped straight into the monitor) — on the same plan.
+//! reference pass, the flow-sharded thread fan-out at the rayon pool
+//! width, the same fan-out at a fixed per-point width, and the online
+//! streaming engine (bounded memory, per-close eviction). A final
+//! section compares the two *end-to-end* pipeline paths — the reference
+//! (materialize trace, then analyze) vs the streamed engine (generation
+//! pumped straight into the monitor) — on the same plan, and sweeps the
+//! engine's thread geometry.
 //!
 //! `--tiny` restricts the sweep to the smallest workload (CI smoke).
 //! `--json` additionally writes machine-readable `BENCH_E5.json` so the
@@ -16,7 +18,8 @@ use ja_attackgen::AttackClass;
 use ja_core::pipeline::{CampaignPlan, Pipeline, PipelineConfig};
 use ja_kernelsim::deployment::DeploymentSpec;
 use ja_monitor::engine::{Monitor, MonitorConfig};
-use ja_monitor::streaming::{StreamingConfig, StreamingMonitor};
+use ja_monitor::streaming::{FanoutSpec, StreamingConfig, StreamingMonitor};
+use ja_netsim::trace::Trace;
 
 /// The whole `BENCH_E5.json` payload. Non-finite throughputs/speedups
 /// are reported as `null` (`None`).
@@ -71,9 +74,8 @@ struct EndToEnd {
     streamed_peak_live_flows: u64,
 }
 
-/// One point of the end-to-end thread sweep: both pipeline ends fanned
-/// out with producers = shards = `threads`
-/// ([`Pipeline::run_streamed_parallel`]).
+/// One point of the end-to-end thread sweep: [`Pipeline::run_streamed`]
+/// with producers = shards = `threads`.
 #[derive(serde::Serialize)]
 struct ThreadSweepRow {
     threads: usize,
@@ -88,6 +90,20 @@ fn finite(x: f64) -> Option<f64> {
     x.is_finite().then_some(x)
 }
 
+/// Monitor-only thread fan-out: the capture fed through
+/// [`Monitor::analyze_stream`] to `shards` flow-sharded workers, with
+/// batch eviction so the alerts equal [`Monitor::analyze`]'s. Returns
+/// the analysis wall time.
+fn fanout_secs(monitor: &Monitor, trace: &Trace, shards: usize) -> f64 {
+    let fanout = FanoutSpec::with_shards(shards);
+    let (_, stats) = monitor.analyze_stream(fanout, StreamingConfig::batch(), |sink| {
+        for r in trace.records() {
+            sink.accept(r.clone());
+        }
+    });
+    stats.elapsed_secs
+}
+
 fn e2e_config(servers: usize, seed: u64) -> PipelineConfig {
     let mut cfg = PipelineConfig::small_lab(seed);
     cfg.deployment = DeploymentSpec {
@@ -99,10 +115,11 @@ fn e2e_config(servers: usize, seed: u64) -> PipelineConfig {
         decoys: 0,
         seed,
     };
-    // The E5 configuration under test: sharded analysis, so the batch
-    // path fans out over rayon and the streamed path overlaps
-    // generation with per-shard analysis threads.
-    cfg.parallel = true;
+    // The E5 configuration under test: the engine at the rayon pool
+    // width (producers and shards), so generation overlaps per-shard
+    // analysis threads. The reference path ignores the geometry.
+    cfg.shards = None;
+    cfg.producers = None;
     cfg
 }
 
@@ -156,10 +173,9 @@ fn main() {
         let monitor = Monitor::new(MonitorConfig::default());
         // Warm + best-of-N to keep numbers stable in a shared VM.
         let seq_secs = ja_bench::best_of(reps, || monitor.analyze(&trace).1.elapsed_secs);
-        let par_secs = ja_bench::best_of(reps, || monitor.analyze_parallel(&trace).1.elapsed_secs);
-        let sharded_secs = ja_bench::best_of(reps, || {
-            monitor.analyze_sharded(&trace, shards).1.elapsed_secs
-        });
+        let pool = rayon::current_num_threads();
+        let par_secs = ja_bench::best_of(reps, || fanout_secs(&monitor, &trace, pool));
+        let sharded_secs = ja_bench::best_of(reps, || fanout_secs(&monitor, &trace, shards));
         let mut peak_live = 0u64;
         let stream_secs = ja_bench::best_of(reps, || {
             let mut sm = StreamingMonitor::new(&monitor, StreamingConfig::online());
@@ -209,18 +225,18 @@ fn main() {
         });
     }
     println!(
-        "\n(speedup = parallel/sequential throughput; > 1 means the rayon path wins. shrd = explicit"
+        "\n(speedup = par/seq throughput; par = thread fan-out at the pool width, > 1 means it wins."
     );
     println!(
-        " per-point shard width; strm = online streaming engine whose peak-live column shows the"
+        " shrd = explicit per-point shard width; strm = online streaming engine whose peak-live column shows the"
     );
     println!(
         " bounded flow-table high-water mark the batch paths don't have. cap MB = captured payload"
     );
     println!(" the monitor scans; wire MB also counts snapped bulk-transfer remainders, so no rate uses it.)");
 
-    // End-to-end: batch pipeline (materialize, then analyze) vs the
-    // fused streamed pipeline (generation overlaps analysis, no trace).
+    // End-to-end: the reference path (materialize, then analyze) vs the
+    // streamed engine (generation overlaps analysis, no trace).
     let (servers, sessions) = if tiny { (2, 1) } else { (16, 4) };
     println!(
         "\n=== end-to-end pipeline: batch vs fused streaming ({servers} srv x {sessions}) ===\n"
@@ -275,12 +291,15 @@ fn main() {
         "{:<10} {:>12.3} {:>12.0} {:>14} {:>11.2}x",
         "streamed", streamed_secs, streamed_tput, streamed_peak, speedup
     );
-    println!("\n(streamed = Pipeline::run_streamed: same alerts/incidents/scores, no materialized");
-    println!(" trace, generation overlapped with sharded analysis. peak-live shows the bounded");
-    println!(" flow-table high-water mark the batch monitor pass doesn't have.)");
+    println!("\n(batch = Pipeline::run, the reference path; streamed = Pipeline::run_streamed at");
+    println!(" the pool width: same alerts/incidents/scores, no materialized trace, generation");
+    println!(
+        " overlapped with sharded analysis. peak-live shows the bounded flow-table high-water"
+    );
+    println!(" mark the reference monitor pass doesn't have.)");
 
-    // Thread sweep: the fully fanned-out pipeline
-    // (Pipeline::run_streamed_parallel) with producers = shards = t.
+    // Thread sweep: the engine (Pipeline::run_streamed) with
+    // producers = shards = t.
     // Output is bit-identical at every point (pinned by the ja-core
     // equivalence proptests); only wall clock may move.
     println!(
@@ -296,12 +315,11 @@ fn main() {
     for &t in thread_counts {
         let secs = ja_bench::best_of(e2e_reps, || {
             let mut cfg = e2e_config(servers, seed);
-            cfg.parallel = false;
             cfg.shards = Some(t);
             cfg.producers = Some(t);
             let mut p = Pipeline::new(cfg);
             let started = std::time::Instant::now();
-            let _ = p.run_streamed_parallel(&e2e_plan(sessions, seed));
+            let _ = p.run_streamed(&e2e_plan(sessions, seed));
             started.elapsed().as_secs_f64()
         });
         if t == 1 {

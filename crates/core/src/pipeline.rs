@@ -2,27 +2,30 @@
 //! "the design of auditing Jupyter to have better visibility against
 //! such attacks".
 //!
-//! One [`Pipeline::run`] does what a real deployment's defense stack
-//! does continuously: execute workload (benign + attacks) on the
+//! One pipeline run does what a real deployment's defense stack does
+//! continuously: execute workload (benign + attacks) on the
 //! deployment, capture the network at the tap, collect kernel-audit
 //! events through the bounded tracer, scan configurations, fold in
 //! honeypot-learned signatures, classify everything, and report.
 //!
-//! Two execution modes share one core:
-//!
-//! - **Batch** ([`Pipeline::run`] / [`Pipeline::run_campaigns`])
-//!   materializes the full capture first, then analyzes it — keep this
-//!   when you need the raw trace afterwards (dataset export,
-//!   forensics, perturbation ablations).
-//! - **Streamed** ([`Pipeline::run_streamed`] /
-//!   [`Pipeline::run_campaigns_streamed`]) fuses the lazy scenario
-//!   producer ([`ja_attackgen::stream::ScenarioStream`]) directly into
-//!   the streaming monitor, the bounded tracer and the auth analyzer.
-//!   No trace is ever materialized; peak memory is bounded by
-//!   concurrently live campaigns and flows, and generation overlaps
-//!   analysis. The resulting [`RunOutcome`] (alerts, incidents,
-//!   scoreboard, ground truth, stats) is identical to the batch path
-//!   on the same seed — only the retained raw streams differ.
+//! - **The engine** ([`Pipeline::run_streamed`] /
+//!   [`Pipeline::run_campaigns_streamed`], and every
+//!   [`crate::service::SocService`] epoch) fuses the scenario
+//!   producers into the streaming monitor, the bounded tracer and the
+//!   auth analyzer through one pump. Its thread geometry comes from
+//!   [`PipelineConfig::producers`] and [`PipelineConfig::shards`]
+//!   (1 = inline on the feeding thread). No trace is ever
+//!   materialized; peak memory is bounded by concurrently live
+//!   campaigns and flows, and generation overlaps analysis.
+//! - **The reference path** ([`Pipeline::run`] /
+//!   [`Pipeline::run_campaigns`]) materializes the full capture, then
+//!   runs one unsharded, non-evicting monitor pass over it. It ignores
+//!   the thread geometry, runs no intel loop, and keeps the raw streams
+//!   (dataset export, forensics, perturbation ablations). It is the
+//!   oracle the engine is pinned against: the [`RunOutcome`] (alerts,
+//!   incidents, scoreboard, ground truth, stats) is identical on the
+//!   same seed at every geometry — only the retained raw streams
+//!   differ.
 
 use crate::classify::{incidents, Incident};
 use crate::intel::{IntelConfig, IntelLoop, IntelOutcome, IntelSnapshot};
@@ -31,7 +34,7 @@ use crate::report::Report;
 use ja_attackgen::campaign::{execute, Campaign, GroundTruth, ScenarioOutput};
 use ja_attackgen::mixer::build_attack;
 use ja_attackgen::parallel::{run_parallel, ParallelOutcome};
-use ja_attackgen::stream::{ScenarioItem, ScenarioStream, StreamSnapshot};
+use ja_attackgen::stream::{ScenarioItem, StreamSnapshot};
 use ja_attackgen::AttackClass;
 use ja_audit::detectors::AuditDetector;
 use ja_audit::tracer::Tracer;
@@ -58,39 +61,39 @@ pub struct PipelineConfig {
     pub tls_inspection: bool,
     /// Kernel tracer ring capacity.
     pub tracer_capacity: usize,
-    /// Use the rayon-parallel analysis path?
-    pub parallel: bool,
-    /// Shard the monitor across exactly this many workers (overrides
-    /// `parallel`, which uses the rayon pool width).
+    /// Monitor shards the engine fans segments out to: `Some(n)` runs
+    /// exactly `n` (1 = one engine inline on the feeding thread),
+    /// `None` the rayon pool width. Output is bit-identical at every
+    /// shard count. The reference path ([`Pipeline::run`]) ignores it.
     pub shards: Option<usize>,
-    /// Scenario producer threads for
-    /// [`Pipeline::run_streamed_parallel`] (overrides `parallel`, which
-    /// uses the rayon pool width). The effective count may be lower:
-    /// campaigns sharing a server always run on one producer. Output is
-    /// bit-identical at every producer count.
+    /// Scenario producer threads the engine runs: `Some(n)` up to `n`,
+    /// `None` up to the rayon pool width. The effective count may be
+    /// lower: campaigns sharing a server always run on one producer.
+    /// Output is bit-identical at every producer count. The reference
+    /// path ignores it.
     pub producers: Option<usize>,
     /// Incident merge window.
     pub merge_window: Duration,
     /// Scoring config.
     pub scoring: ScoringConfig,
     /// Honeypot intel loop (decoy capture → signature → hot-reloaded
-    /// monitor rules). Only the streamed paths run the loop — hot
-    /// reload is a streaming concept; the batch paths leave the
-    /// captured trace untouched and report no intel.
+    /// monitor rules). Only the engine runs the loop — hot reload is a
+    /// streaming concept; the reference path leaves the captured trace
+    /// untouched and reports no intel.
     pub intel: Option<IntelConfig>,
 }
 
 impl PipelineConfig {
-    /// A small hardened lab (4 servers), full visibility, sequential.
+    /// A small hardened lab (4 servers), full visibility, inline engine
+    /// (one producer, one monitor shard).
     pub fn small_lab(seed: u64) -> Self {
         PipelineConfig {
             deployment: DeploymentSpec::small_lab(seed),
             monitor: MonitorConfig::default(),
             tls_inspection: true,
             tracer_capacity: 1 << 16,
-            parallel: false,
-            shards: None,
-            producers: None,
+            shards: Some(1),
+            producers: Some(1),
             merge_window: Duration::from_secs(1800),
             scoring: ScoringConfig::default(),
             intel: None,
@@ -106,7 +109,7 @@ impl PipelineConfig {
     }
 }
 
-/// Labels and bounds of the executed scenario, plus — on the batch
+/// Labels and bounds of the executed scenario, plus — on the reference
 /// path only — the raw observation streams.
 pub struct ScenarioArtifacts {
     /// Ground-truth labels, one per campaign, in plan order.
@@ -114,8 +117,8 @@ pub struct ScenarioArtifacts {
     /// When the scenario ended.
     pub end: SimTime,
     /// The raw capture (trace, kernel events, auth log). `Some` on the
-    /// batch path; `None` after [`Pipeline::run_streamed`], which never
-    /// materializes them.
+    /// reference path; `None` after [`Pipeline::run_streamed`], which
+    /// never materializes them.
     pub raw: Option<ScenarioOutput>,
 }
 
@@ -139,17 +142,19 @@ impl ScenarioArtifacts {
         }
     }
 
-    /// The captured trace, if this run retained it (batch path only).
+    /// The captured trace, if this run retained it (reference path
+    /// only).
     pub fn trace(&self) -> Option<&Trace> {
         self.raw.as_ref().map(|r| &r.trace)
     }
 
-    /// The kernel-audit event stream, if retained (batch path only).
+    /// The kernel-audit event stream, if retained (reference path
+    /// only).
     pub fn sys_events(&self) -> Option<&[SysEvent]> {
         self.raw.as_ref().map(|r| r.sys_events.as_slice())
     }
 
-    /// The hub auth log, if retained (batch path only).
+    /// The hub auth log, if retained (reference path only).
     pub fn auth_log(&self) -> Option<&[AuthEvent]> {
         self.raw.as_ref().map(|r| r.auth_log.as_slice())
     }
@@ -157,13 +162,14 @@ impl ScenarioArtifacts {
 
 /// Everything one pipeline run produced.
 pub struct RunOutcome {
-    /// Scenario labels/bounds plus (batch only) the raw streams.
+    /// Scenario labels/bounds plus (reference path only) the raw
+    /// streams.
     pub scenario: ScenarioArtifacts,
     /// Monitor statistics.
     pub monitor_stats: MonitorStats,
     /// Kernel-audit completeness (1.0 = no ring drops).
     pub audit_completeness: f64,
-    /// What the honeypot intel loop did (`Some` only after a streamed
+    /// What the honeypot intel loop did (`Some` only after an engine
     /// run with [`PipelineConfig::intel`] configured).
     pub intel: Option<IntelOutcome>,
     /// The consolidated report.
@@ -177,9 +183,9 @@ pub struct RunOutcome {
 pub(crate) struct EpochWatermark {
     /// How many scenario items had been produced.
     pub items: u64,
-    /// Producer-side state — only observable on the inline
-    /// (single-producer) path, where the feeding thread owns the
-    /// [`ScenarioStream`].
+    /// Producer-side state — only observable when one producer runs
+    /// inline, where the feeding thread owns the
+    /// [`ja_attackgen::ScenarioStream`].
     pub stream: Option<StreamSnapshot>,
     /// Monitor engine state — only observable when the sink is a
     /// single inline shard (sharded routers keep worker state on
@@ -216,8 +222,9 @@ impl EpochObserver for NoopObserver {
 /// drives a live session ([`ja_attackgen::interactive`]). Unlike the
 /// scripted [`AttackClass`] campaigns, these have no steps up front —
 /// the executor materializes each move from the previous kernel
-/// outcome, and all three execution paths (batch, streamed, parallel)
-/// carry them through the same [`ja_attackgen::StreamKey`] total order.
+/// outcome, and the engine (at every producer count) and the reference
+/// path carry them through the same [`ja_attackgen::StreamKey`] total
+/// order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InteractiveScenario {
     /// Hands-on-keyboard privilege escalation on one server.
@@ -403,7 +410,8 @@ impl Pipeline {
     /// The monitor configuration for this deployment: the configured
     /// rules/thresholds wired with fleet knowledge (server attribution,
     /// TLS-inspection secrets when granted, and full-capture audit
-    /// tracing for decoys). Shared by the batch and streamed paths.
+    /// tracing for decoys). Shared by the engine and the reference
+    /// path.
     fn fleet_monitor_config(&self) -> MonitorConfig {
         let mut mcfg = self.config.monitor.clone();
         for (idx, srv) in self.deployment.servers.iter().enumerate() {
@@ -423,90 +431,54 @@ impl Pipeline {
         mcfg
     }
 
-    /// How many monitor shards the configuration asks for.
+    /// How many monitor shards the engine runs.
     pub(crate) fn shard_count(&self) -> usize {
-        match (self.config.shards, self.config.parallel) {
-            (Some(n), _) => n.max(1),
-            (None, true) => rayon::current_num_threads().max(1),
-            (None, false) => 1,
-        }
+        thread_count(self.config.shards)
     }
 
-    /// How many scenario producer threads the configuration asks for.
-    pub(crate) fn producer_count(&self) -> usize {
-        match (self.config.producers, self.config.parallel) {
-            (Some(n), _) => n.max(1),
-            (None, true) => rayon::current_num_threads().max(1),
-            (None, false) => 1,
-        }
-    }
-
-    /// Run a plan end to end, materializing the capture (batch path).
+    /// Run a plan on the reference path (see
+    /// [`Pipeline::run_campaigns`]).
     pub fn run(&mut self, plan: &CampaignPlan) -> RunOutcome {
         let campaigns = self.build_campaigns(plan);
         self.run_campaigns(campaigns, plan.seed)
     }
 
-    /// Run a plan end to end in fused streaming mode: generation is
-    /// pumped straight into the monitor/tracer/auth analyzer, no trace
-    /// is ever materialized, and the outcome matches [`Pipeline::run`]
-    /// on the same seed.
+    /// Run a plan end to end on the engine (see
+    /// [`Pipeline::run_campaigns_streamed`]).
     pub fn run_streamed(&mut self, plan: &CampaignPlan) -> RunOutcome {
         let campaigns = self.build_campaigns(plan);
         self.run_campaigns_streamed(campaigns, plan.seed)
     }
 
-    /// Run a plan with *both* ends of the fused pipeline fanned out:
-    /// up to [`PipelineConfig::producers`] scenario threads generate
-    /// server-disjoint campaign groups concurrently (merged back into
-    /// canonical order by stream key), and the merged feed is routed to
-    /// the monitor shards in chunked batches. The outcome is
-    /// bit-identical to [`Pipeline::run_streamed`] and [`Pipeline::run`]
-    /// on the same seed at every producer/shard count.
-    pub fn run_streamed_parallel(&mut self, plan: &CampaignPlan) -> RunOutcome {
-        let campaigns = self.build_campaigns(plan);
-        self.run_campaigns_streamed_parallel(campaigns, plan.seed)
-    }
-
-    /// Run explicit campaigns end to end (batch path).
+    /// Run explicit campaigns on the reference path: materialize the
+    /// whole scenario, then run one unsharded, non-evicting
+    /// [`Monitor::analyze`] over the capture, the auth analyzer over the
+    /// auth log, and the bounded tracer over the kernel events.
+    /// [`PipelineConfig::producers`] and [`PipelineConfig::shards`] are
+    /// ignored, no intel loop runs, and the outcome keeps the raw
+    /// capture in [`ScenarioArtifacts::raw`]. This is the oracle the
+    /// engine's equivalence tests and benchmarks compare against.
     pub fn run_campaigns(&mut self, campaigns: Vec<(SimTime, Campaign)>, seed: u64) -> RunOutcome {
         let scenario = execute(&mut self.deployment, &campaigns, seed ^ 0xA0D17);
         let monitor = Monitor::new(self.fleet_monitor_config());
-        let (mut alerts, monitor_stats) = match (self.config.shards, self.config.parallel) {
-            (Some(n), _) => monitor.analyze_sharded(&scenario.trace, n),
-            (None, true) => monitor.analyze_parallel(&scenario.trace),
-            (None, false) => monitor.analyze(&scenario.trace),
-        };
-        alerts.extend(monitor.analyze_auth(&scenario.auth_log));
-        // Kernel audit through the bounded tracer.
+        let (mut alerts, monitor_stats) = monitor.analyze(&scenario.trace);
         let mut tracer = Tracer::new(self.config.tracer_capacity);
         tracer.ingest_all(scenario.sys_events.iter().cloned());
-        let audit_alerts = Self::drain_audit(&mut tracer);
-        let audit_completeness = tracer.completeness();
-        alerts.extend(audit_alerts);
+        let audit_completeness =
+            Self::audit_planes(&monitor, &mut alerts, &scenario.auth_log, &mut tracer);
         self.finish_run(
             alerts,
             ScenarioArtifacts::from_batch(scenario),
             monitor_stats,
             audit_completeness,
-            None,
         )
     }
 
-    /// A fresh per-run intel loop, when one is configured.
-    fn fresh_intel(&self) -> Option<IntelLoop> {
-        self.config
-            .intel
-            .as_ref()
-            .map(|cfg| IntelLoop::new(cfg, &self.deployment))
-    }
-
-    /// The monitor for one streamed run/epoch. When an intel loop is
+    /// The monitor for one engine run/epoch. When an intel loop is
     /// live its feed handle replaces the configured one, so signatures
     /// the loop learns hot-reload into this monitor's shards (the feed
     /// is a shared handle — cloning it shares state, it does not copy
-    /// rules). Both streamed paths and the service epochs wire through
-    /// here; this used to be duplicated per path.
+    /// rules).
     fn monitor_wired(&self, intel: Option<&IntelLoop>) -> Monitor {
         let mut mcfg = self.fleet_monitor_config();
         if let Some(il) = intel {
@@ -515,12 +487,15 @@ impl Pipeline {
         Monitor::new(mcfg)
     }
 
-    /// Run explicit campaigns with the producer fused into the
-    /// streaming monitor: each item the lazy scenario stream yields is
-    /// routed — segment to the (sharded) streaming engine, kernel event
-    /// to the bounded tracer, auth event to the auth analyzer — the
-    /// moment it is produced. Peak memory is bounded by concurrently
-    /// live campaigns and flows, not capture size.
+    /// Run explicit campaigns on the engine: up to
+    /// [`PipelineConfig::producers`] scenario threads generate
+    /// server-disjoint campaign groups (merged back into the exact
+    /// sequential order by stream key), and each item is routed the
+    /// moment it is produced — segment to the monitor's
+    /// [`PipelineConfig::shards`] streaming engines, kernel event to the
+    /// bounded tracer, auth event to the auth analyzer. Peak memory is
+    /// bounded by concurrently live campaigns and flows, not capture
+    /// size, and the outcome is bit-identical at every geometry.
     ///
     /// The honeypot intel loop gets fresh per-run state so signatures
     /// learned in this run never leak across runs. The always-on
@@ -530,132 +505,47 @@ impl Pipeline {
         campaigns: Vec<(SimTime, Campaign)>,
         seed: u64,
     ) -> RunOutcome {
-        let mut intel = self.fresh_intel();
-        let mut out = self.pump_epoch_inline(campaigns, seed, intel.as_mut(), &mut NoopObserver);
+        let mut intel = self
+            .config
+            .intel
+            .as_ref()
+            .map(|cfg| IntelLoop::new(cfg, &self.deployment));
+        let mut out = self.pump_epoch(campaigns, seed, intel.as_mut(), &mut NoopObserver);
         out.intel = intel.map(IntelLoop::into_outcome);
         out
     }
 
-    /// Run explicit campaigns with parallel scenario producers fused
-    /// into the batched sharded streaming monitor. The producer side
-    /// partitions campaigns into server-disjoint groups (one
-    /// [`ScenarioStream`] per group on its own thread) and merges the
-    /// keyed items back into the exact sequential order, so every
-    /// order-sensitive consumer — the intel loop's observation tap, the
-    /// auth analyzer, the bounded tracer, the shard router — sees the
-    /// same feed as [`Pipeline::run_campaigns_streamed`].
-    pub fn run_campaigns_streamed_parallel(
-        &mut self,
-        campaigns: Vec<(SimTime, Campaign)>,
-        seed: u64,
-    ) -> RunOutcome {
-        let mut intel = self.fresh_intel();
-        let mut out = self.pump_epoch_parallel(campaigns, seed, intel.as_mut(), &mut NoopObserver);
-        out.intel = intel.map(IntelLoop::into_outcome);
-        out
-    }
-
-    /// One fused streamed pass over explicit campaigns, dispatching to
-    /// the inline or parallel-producer pump on the configured producer
-    /// count — the epoch body the always-on service runs. The caller
-    /// owns the intel loop (so it can persist across epochs) and the
+    /// The engine: one fused pass over explicit campaigns with the
+    /// producer/shard geometry from config. Every item goes through the
+    /// same routing — intel observation, count, observer, route,
+    /// watermark — whichever thread produced it. The caller owns the
+    /// intel loop (so the service can persist it across epochs) and the
     /// observer (watermark checkpoints / resume verification).
+    /// Watermarks carry the producer snapshot when one producer runs
+    /// inline and the monitor snapshot when one shard does.
     pub(crate) fn pump_epoch(
         &mut self,
         campaigns: Vec<(SimTime, Campaign)>,
         seed: u64,
-        intel: Option<&mut IntelLoop>,
-        observer: &mut dyn EpochObserver,
-    ) -> RunOutcome {
-        if self.producer_count() > 1 {
-            self.pump_epoch_parallel(campaigns, seed, intel, observer)
-        } else {
-            self.pump_epoch_inline(campaigns, seed, intel, observer)
-        }
-    }
-
-    /// The single-producer pump body shared by
-    /// [`Pipeline::run_campaigns_streamed`] and the service epochs.
-    pub(crate) fn pump_epoch_inline(
-        &mut self,
-        campaigns: Vec<(SimTime, Campaign)>,
-        seed: u64,
         mut intel: Option<&mut IntelLoop>,
         observer: &mut dyn EpochObserver,
     ) -> RunOutcome {
         let monitor = self.monitor_wired(intel.as_deref());
-        let shards = self.shard_count();
-        let mut tracer = Tracer::new(self.config.tracer_capacity);
-        let mut auth_log: Vec<AuthEvent> = Vec::new();
-        let mut stream = ScenarioStream::new(&mut self.deployment, campaigns, seed ^ 0xA0D17);
-        let mut count = 0u64;
-        let (mut alerts, monitor_stats) =
-            monitor.analyze_stream(shards, StreamingConfig::close_evict(), |sink| {
-                while let Some(item) = stream.next_item() {
-                    if let Some(il) = intel.as_mut() {
-                        il.observe(&item);
-                    }
-                    count += 1;
-                    let capture = observer.on_item(count, &item);
-                    match item {
-                        ScenarioItem::Segment(rec) => sink.accept(rec),
-                        ScenarioItem::Auth(ev) => auth_log.push(ev),
-                        ScenarioItem::Sys(ev) => tracer.ingest(ev),
-                    }
-                    if capture {
-                        observer.at_watermark(EpochWatermark {
-                            items: count,
-                            stream: Some(stream.snapshot()),
-                            shard: sink.shard_snapshot(),
-                            intel: intel.as_deref().map(IntelLoop::snapshot),
-                        });
-                    }
-                }
-            });
-        let (ground_truth, end) = stream.into_labels();
-        alerts.extend(monitor.analyze_auth(&auth_log));
-        let audit_alerts = Self::drain_audit(&mut tracer);
-        let audit_completeness = tracer.completeness();
-        alerts.extend(audit_alerts);
-        self.finish_run(
-            alerts,
-            ScenarioArtifacts::from_streamed(ground_truth, end),
-            monitor_stats,
-            audit_completeness,
-            None,
-        )
-    }
-
-    /// The parallel-producer pump body shared by
-    /// [`Pipeline::run_campaigns_streamed_parallel`] and the service
-    /// epochs. Watermarks carry no producer/shard snapshots here —
-    /// that state lives on other threads — so checkpoint verification
-    /// on this path rests on the feed digest alone.
-    pub(crate) fn pump_epoch_parallel(
-        &mut self,
-        campaigns: Vec<(SimTime, Campaign)>,
-        seed: u64,
-        mut intel: Option<&mut IntelLoop>,
-        observer: &mut dyn EpochObserver,
-    ) -> RunOutcome {
-        let monitor = self.monitor_wired(intel.as_deref());
-        let shards = self.shard_count();
-        let producers = self.producer_count();
+        let fanout = FanoutSpec::with_shards(self.shard_count());
+        let producers = thread_count(self.config.producers);
         let mut tracer = Tracer::new(self.config.tracer_capacity);
         let mut auth_log: Vec<AuthEvent> = Vec::new();
         let deployment = &mut self.deployment;
         let mut produced: Option<ParallelOutcome> = None;
         let mut count = 0u64;
-        let (mut alerts, monitor_stats) = monitor.analyze_stream_batched(
-            FanoutSpec::with_shards(shards),
-            StreamingConfig::close_evict(),
-            |sink| {
+        let (mut alerts, monitor_stats) =
+            monitor.analyze_stream(fanout, StreamingConfig::close_evict(), |sink| {
                 produced = Some(run_parallel(
                     deployment,
                     campaigns,
                     seed ^ 0xA0D17,
                     producers,
-                    |item| {
+                    |item, stream| {
                         if let Some(il) = intel.as_mut() {
                             il.observe(&item);
                         }
@@ -669,33 +559,35 @@ impl Pipeline {
                         if capture {
                             observer.at_watermark(EpochWatermark {
                                 items: count,
-                                stream: None,
-                                shard: None,
+                                stream: stream.map(|s| s.snapshot()),
+                                shard: sink.shard_snapshot(),
                                 intel: intel.as_deref().map(IntelLoop::snapshot),
                             });
                         }
                     },
                 ));
-            },
-        );
+            });
         let produced = produced.expect("producer feed ran");
-        alerts.extend(monitor.analyze_auth(&auth_log));
-        let audit_alerts = Self::drain_audit(&mut tracer);
-        let audit_completeness = tracer.completeness();
-        alerts.extend(audit_alerts);
+        let audit_completeness = Self::audit_planes(&monitor, &mut alerts, &auth_log, &mut tracer);
         self.finish_run(
             alerts,
             ScenarioArtifacts::from_streamed(produced.ground_truth, produced.end),
             monitor_stats,
             audit_completeness,
-            None,
         )
     }
 
-    /// Collect buffered kernel events and run the audit detectors.
-    fn drain_audit(tracer: &mut Tracer) -> Vec<ja_monitor::alerts::Alert> {
-        let audited = tracer.collect();
-        AuditDetector::new().analyze(&audited)
+    /// Fold the auth-log and kernel-audit detections into `alerts`;
+    /// returns the audit completeness (1.0 = no ring drops).
+    fn audit_planes(
+        monitor: &Monitor,
+        alerts: &mut Vec<ja_monitor::alerts::Alert>,
+        auth_log: &[AuthEvent],
+        tracer: &mut Tracer,
+    ) -> f64 {
+        alerts.extend(monitor.analyze_auth(auth_log));
+        alerts.extend(AuditDetector::new().analyze(&tracer.collect()));
+        tracer.completeness()
     }
 
     /// The shared tail of every run: configuration scan, canonical
@@ -709,7 +601,6 @@ impl Pipeline {
         scenario: ScenarioArtifacts,
         monitor_stats: MonitorStats,
         audit_completeness: f64,
-        intel: Option<IntelOutcome>,
     ) -> RunOutcome {
         for (idx, srv) in self.deployment.servers.iter().enumerate() {
             // Decoys are exposed *on purpose* — bait, not hygiene
@@ -739,7 +630,7 @@ impl Pipeline {
             scenario,
             monitor_stats,
             audit_completeness,
-            intel,
+            intel: None,
             report,
         }
     }
@@ -754,38 +645,16 @@ pub struct FleetJob {
     pub config: PipelineConfig,
     /// The campaign plan to run against it.
     pub plan: CampaignPlan,
-    /// Run through [`Pipeline::run_streamed`] instead of the batch
-    /// path. Outcomes are identical; memory stays bounded.
-    pub streamed: bool,
-    /// Run through [`Pipeline::run_streamed_parallel`]: parallel
-    /// scenario producers feeding the batched shard fan-out. Outcomes
-    /// are identical to the other two paths; takes precedence over
-    /// `streamed`.
-    pub parallel_streamed: bool,
 }
 
 impl FleetJob {
-    /// A labelled batch job.
+    /// A labelled job.
     pub fn new(label: impl Into<String>, config: PipelineConfig, plan: CampaignPlan) -> Self {
         FleetJob {
             label: label.into(),
             config,
             plan,
-            streamed: false,
-            parallel_streamed: false,
         }
-    }
-
-    /// Switch this job to the fused streaming path.
-    pub fn with_streaming(mut self) -> Self {
-        self.streamed = true;
-        self
-    }
-
-    /// Switch this job to the parallel-producer streaming path.
-    pub fn with_parallel_streaming(mut self) -> Self {
-        self.parallel_streamed = true;
-        self
     }
 }
 
@@ -901,8 +770,10 @@ impl FleetOutcome {
 /// Executes many deployments/plans in parallel — the multi-deployment
 /// regime an NCSA-scale operator actually runs, where each cluster or
 /// lab has its own JupyterHub and the SOC aggregates across all of
-/// them. Each job builds its own [`Pipeline`] on a rayon worker; run
-/// order in the output matches job order regardless of scheduling.
+/// them. Each job builds its own [`Pipeline`] on a rayon worker and runs
+/// the engine ([`Pipeline::run_streamed`]) with its config's
+/// producer/shard geometry; run order in the output matches job order
+/// regardless of scheduling.
 #[derive(Clone, Debug, Default)]
 pub struct FleetRunner {
     /// The jobs to execute.
@@ -921,29 +792,24 @@ impl FleetRunner {
         self
     }
 
-    /// Execute every job across the rayon pool. Jobs marked
-    /// [`FleetJob::with_streaming`] use the fused streaming path.
+    /// Execute every job across the rayon pool.
     pub fn run(&self) -> FleetOutcome {
         let runs = self
             .jobs
             .par_iter()
-            .map(|job| {
-                let mut p = Pipeline::new(job.config.clone());
-                let outcome = if job.parallel_streamed {
-                    p.run_streamed_parallel(&job.plan)
-                } else if job.streamed {
-                    p.run_streamed(&job.plan)
-                } else {
-                    p.run(&job.plan)
-                };
-                FleetRun {
-                    label: job.label.clone(),
-                    outcome,
-                }
+            .map(|job| FleetRun {
+                label: job.label.clone(),
+                outcome: Pipeline::new(job.config.clone()).run_streamed(&job.plan),
             })
             .collect();
         FleetOutcome { runs }
     }
+}
+
+/// Worker count for an engine geometry field: `Some(n)` is `n` (at
+/// least 1), `None` the rayon pool width.
+fn thread_count(n: Option<usize>) -> usize {
+    n.unwrap_or_else(rayon::current_num_threads).max(1)
 }
 
 impl Pipeline {
@@ -994,27 +860,33 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_sequential() {
+        // `None` geometry runs the engine at the rayon pool width; its
+        // alerts match the inline engine's and the reference path's.
+        let plan = CampaignPlan::single(AttackClass::Cryptomining);
         let mut cfg = PipelineConfig::small_lab(9);
-        cfg.parallel = false;
-        let mut p1 = Pipeline::new(cfg.clone());
-        let o1 = p1.run(&CampaignPlan::single(AttackClass::Cryptomining));
-        let mut cfg2 = PipelineConfig::small_lab(9);
-        cfg2.parallel = true;
-        let mut p2 = Pipeline::new(cfg2);
-        let o2 = p2.run(&CampaignPlan::single(AttackClass::Cryptomining));
-        assert_eq!(o1.report.alerts_total(), o2.report.alerts_total());
+        cfg.shards = None;
+        cfg.producers = None;
+        let pooled = Pipeline::new(cfg).run_streamed(&plan);
+        let inline = Pipeline::new(PipelineConfig::small_lab(9)).run_streamed(&plan);
+        let reference = Pipeline::new(PipelineConfig::small_lab(9)).run(&plan);
+        assert_eq!(alert_keys(&inline), alert_keys(&pooled));
+        assert_eq!(alert_keys(&reference), alert_keys(&pooled));
     }
 
     #[test]
     fn sharded_config_matches_sequential() {
-        let mut p1 = Pipeline::new(PipelineConfig::small_lab(11));
-        let o1 = p1.run(&CampaignPlan::single(AttackClass::DataExfiltration));
+        // The reference path ignores the engine geometry: one
+        // unsharded, non-evicting monitor pass, raw capture retained.
+        let plan = CampaignPlan::single(AttackClass::DataExfiltration);
+        let o1 = Pipeline::new(PipelineConfig::small_lab(11)).run(&plan);
         let mut cfg = PipelineConfig::small_lab(11);
         cfg.shards = Some(3);
-        let mut p2 = Pipeline::new(cfg);
-        let o2 = p2.run(&CampaignPlan::single(AttackClass::DataExfiltration));
-        assert_eq!(o1.report.alerts_total(), o2.report.alerts_total());
+        cfg.producers = Some(4);
+        let o2 = Pipeline::new(cfg).run(&plan);
+        assert_eq!(alert_keys(&o1), alert_keys(&o2));
         assert_eq!(o1.monitor_stats.flows, o2.monitor_stats.flows);
+        assert_eq!(o2.monitor_stats.peak_live_flows, o2.monitor_stats.flows);
+        assert!(o2.scenario.raw.is_some());
     }
 
     #[test]
@@ -1077,8 +949,7 @@ mod tests {
                 "lab-b",
                 PipelineConfig::small_lab(62),
                 CampaignPlan::single(AttackClass::Cryptomining),
-            )
-            .with_streaming(),
+            ),
         ]);
         let merged = fleet.merged_report();
         assert_eq!(merged.alerts_total(), fleet.total_alerts());
@@ -1138,7 +1009,7 @@ mod tests {
         assert_eq!(batch.monitor_stats.flows, streamed.monitor_stats.flows);
         assert_eq!(batch.monitor_stats.bytes, streamed.monitor_stats.bytes);
         assert_eq!(batch.audit_completeness, streamed.audit_completeness);
-        // Only the batch path retains the raw streams.
+        // Only the reference path retains the raw streams.
         assert!(batch.scenario.trace().is_some());
         assert!(streamed.scenario.trace().is_none());
         // The streamed engine evicted closed flows instead of holding
@@ -1184,7 +1055,7 @@ mod tests {
             out.monitor_stats.peak_live_flows,
             out.monitor_stats.flows
         );
-        // Identical to the batch path even at this horizon.
+        // Identical to the reference path even at this horizon.
         let mut p2 = Pipeline::new(PipelineConfig::small_lab(77));
         let batch = p2.run(&CampaignPlan::quiet_apt(77));
         assert_eq!(alert_keys(&batch), alert_keys(&out));
@@ -1192,134 +1063,52 @@ mod tests {
 
     #[test]
     fn streamed_fleet_job_matches_batch_job() {
-        let jobs = vec![
-            FleetJob::new(
-                "batch",
-                PipelineConfig::small_lab(41),
-                CampaignPlan::single(AttackClass::Cryptomining),
-            ),
-            FleetJob::new(
-                "streamed",
-                PipelineConfig::small_lab(41),
-                CampaignPlan::single(AttackClass::Cryptomining),
-            )
-            .with_streaming(),
-        ];
-        let fleet = Pipeline::run_fleet(jobs);
-        assert_eq!(
-            alert_keys(&fleet.runs[0].outcome),
-            alert_keys(&fleet.runs[1].outcome)
-        );
-    }
-
-    #[test]
-    fn parallel_streamed_run_matches_streamed_and_batch() {
-        let mut cfg = PipelineConfig::small_lab(51);
-        cfg.producers = Some(4);
-        cfg.shards = Some(3);
-        let mut p1 = Pipeline::new(cfg);
-        let par = p1.run_streamed_parallel(&CampaignPlan::full_mix(5));
-        let mut p2 = Pipeline::new(PipelineConfig::small_lab(51));
-        let streamed = p2.run_streamed(&CampaignPlan::full_mix(5));
-        let mut p3 = Pipeline::new(PipelineConfig::small_lab(51));
-        let batch = p3.run(&CampaignPlan::full_mix(5));
-        assert_eq!(alert_keys(&streamed), alert_keys(&par));
-        assert_eq!(alert_keys(&batch), alert_keys(&par));
-        assert_eq!(
-            streamed.report.incidents_total(),
-            par.report.incidents_total()
-        );
-        assert_eq!(
-            streamed.report.scoreboard.as_ref().unwrap().render(),
-            par.report.scoreboard.as_ref().unwrap().render()
-        );
-        assert_eq!(streamed.scenario.end, par.scenario.end);
-        assert_eq!(
-            streamed.scenario.ground_truth.len(),
-            par.scenario.ground_truth.len()
-        );
-        for (a, b) in streamed
-            .scenario
-            .ground_truth
-            .iter()
-            .zip(&par.scenario.ground_truth)
-        {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.servers, b.servers);
+        // Fleet jobs run the engine with their own config's geometry;
+        // inline and fanned-out jobs both match the reference path.
+        let plan = CampaignPlan::full_mix(7);
+        let mut fanned = PipelineConfig::small_lab(41);
+        fanned.producers = Some(4);
+        fanned.shards = Some(2);
+        let fleet = Pipeline::run_fleet(vec![
+            FleetJob::new("inline", PipelineConfig::small_lab(41), plan.clone()),
+            FleetJob::new("fanned", fanned, plan.clone()),
+        ]);
+        let reference = Pipeline::new(PipelineConfig::small_lab(41)).run(&plan);
+        for run in &fleet.runs {
+            assert_eq!(
+                alert_keys(&reference),
+                alert_keys(&run.outcome),
+                "{}",
+                run.label
+            );
+            assert!(run.outcome.scenario.raw.is_none(), "{}", run.label);
         }
-        assert_eq!(streamed.monitor_stats.segments, par.monitor_stats.segments);
-        assert_eq!(streamed.monitor_stats.flows, par.monitor_stats.flows);
-        assert_eq!(streamed.monitor_stats.bytes, par.monitor_stats.bytes);
-        assert_eq!(streamed.audit_completeness, par.audit_completeness);
-        // Parallel streaming never materializes the raw capture either.
-        assert!(par.scenario.trace().is_none());
     }
 
     #[test]
-    fn parallel_streamed_is_deterministic_across_repeat_runs() {
-        // Same config, same plan, run twice: thread interleaving must
-        // not leak into any output (the merge is keyed, not racy).
-        let run = || {
-            let mut cfg = PipelineConfig::small_lab(52);
-            cfg.producers = Some(3);
-            cfg.shards = Some(2);
-            let mut p = Pipeline::new(cfg);
-            let out = p.run_streamed_parallel(&CampaignPlan::full_mix(6));
-            (
-                alert_keys(&out),
-                out.report.incidents_total(),
-                out.monitor_stats.segments,
-                out.scenario.end,
-            )
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn parallel_streamed_fleet_job_matches_streamed_job() {
-        let mut pcfg = PipelineConfig::small_lab(43);
-        pcfg.producers = Some(4);
-        let jobs = vec![
-            FleetJob::new(
-                "streamed",
-                PipelineConfig::small_lab(43),
-                CampaignPlan::full_mix(7),
-            )
-            .with_streaming(),
-            FleetJob::new("par-streamed", pcfg, CampaignPlan::full_mix(7))
-                .with_parallel_streaming(),
-        ];
-        let fleet = Pipeline::run_fleet(jobs);
-        assert_eq!(
-            alert_keys(&fleet.runs[0].outcome),
-            alert_keys(&fleet.runs[1].outcome)
-        );
-    }
-
-    #[test]
-    fn parallel_streamed_wave_closes_the_intel_loop_identically() {
+    fn multi_producer_wave_closes_the_intel_loop_identically() {
         use crate::intel::{build_wave, IntelConfig, WaveSpec};
         // The intel loop observes the merged feed; its hot-reload
-        // behavior must be byte-for-byte what the sequential streamed
-        // path produces, regardless of requested producer count.
+        // behavior must be byte-for-byte what the inline engine
+        // produces, regardless of requested producer count.
         let intel_cfg = IntelConfig {
             propagation: Duration::from_secs(120),
             realism: 1.0,
             ..Default::default()
         };
-        let mk_cfg = |producers: Option<usize>| {
+        let mk_cfg = |producers: usize| {
             let mut cfg = PipelineConfig::small_lab(91);
             cfg.deployment.decoys = 2;
             cfg.intel = Some(intel_cfg.clone());
-            cfg.producers = producers;
+            cfg.producers = Some(producers);
             cfg
         };
-        let mut p1 = Pipeline::new(mk_cfg(Some(4)));
+        let mut p1 = Pipeline::new(mk_cfg(4));
         let mut rng = SimRng::new(5);
         let wave = build_wave(p1.deployment(), &intel_cfg, &WaveSpec::default(), &mut rng);
         let start = SimTime::from_secs(60);
-        let par = p1.run_campaigns_streamed_parallel(vec![(start, wave.campaign.clone())], 91);
-        let mut p2 = Pipeline::new(mk_cfg(None));
+        let par = p1.run_campaigns_streamed(vec![(start, wave.campaign.clone())], 91);
+        let mut p2 = Pipeline::new(mk_cfg(1));
         let seq = p2.run_campaigns_streamed(vec![(start, wave.campaign)], 91);
         assert_eq!(alert_keys(&seq), alert_keys(&par));
         let (si, pi) = (seq.intel.as_ref().unwrap(), par.intel.as_ref().unwrap());
@@ -1404,7 +1193,7 @@ mod tests {
         assert!(intel.published.is_empty());
         assert_eq!(alert_keys(&with_loop), alert_keys(&without));
         assert_eq!(with_loop.report.alerts_from(AlertSource::HoneypotIntel), 0);
-        // The batch path never runs the loop.
+        // The reference path never runs the loop.
         let mut p3 = Pipeline::new(PipelineConfig::small_lab(47));
         assert!(p3.run(&CampaignPlan::full_mix(9)).intel.is_none());
     }

@@ -1,6 +1,6 @@
 //! Property tests: OSCRP totality, scoring bounds, incident-grouping
-//! invariants, risk finiteness, and batch/streamed pipeline
-//! equivalence across random plans.
+//! invariants, risk finiteness, and engine/reference pipeline
+//! equivalence across random plans and thread geometries.
 
 use ja_attackgen::campaign::GroundTruth;
 use ja_attackgen::AttackClass;
@@ -89,10 +89,12 @@ fn incident_fingerprint(out: &RunOutcome) -> Vec<(AttackClass, SimTime, SimTime,
 }
 
 proptest! {
-    /// The fused streaming pipeline is indistinguishable from the batch
-    /// pipeline across random plans and seeds: identical alert
-    /// sequences, incidents, scoreboards, ground truth, and stats
-    /// counters.
+    /// The engine is indistinguishable from the reference path across
+    /// random plans, seeds and thread geometries — producer and shard
+    /// counts drawn from `None` (the rayon pool width) or an explicit
+    /// count, 1 being inline: identical alert sequences, incidents,
+    /// scoreboards, ground truth, and stats counters. This is the pin
+    /// that lets one engine serve every caller.
     #[test]
     fn run_streamed_matches_run_for_random_plans(
         seed in 0u64..4096,
@@ -100,6 +102,8 @@ proptest! {
         attack_mask in 0u8..64,
         interactive_mask in 0u8..16,
         horizon_halves in 1u64..4,
+        producers in proptest::option::of(1usize..=8),
+        shards in proptest::option::of(1usize..=4),
     ) {
         let attacks: Vec<AttackClass> = AttackClass::ALL
             .iter()
@@ -123,7 +127,10 @@ proptest! {
         };
         let mut p1 = Pipeline::new(tiny_config(seed));
         let batch = p1.run(&plan);
-        let mut p2 = Pipeline::new(tiny_config(seed));
+        let mut engine_cfg = tiny_config(seed);
+        engine_cfg.producers = producers;
+        engine_cfg.shards = shards;
+        let mut p2 = Pipeline::new(engine_cfg);
         let streamed = p2.run_streamed(&plan);
         prop_assert_eq!(alert_fingerprint(&batch), alert_fingerprint(&streamed));
         prop_assert_eq!(incident_fingerprint(&batch), incident_fingerprint(&streamed));
@@ -152,88 +159,10 @@ proptest! {
         prop_assert_eq!(batch.monitor_stats.bytes, streamed.monitor_stats.bytes);
         prop_assert_eq!(batch.monitor_stats.kernel_msgs, streamed.monitor_stats.kernel_msgs);
         prop_assert_eq!(batch.audit_completeness.to_bits(), streamed.audit_completeness.to_bits());
-        // The batch path retains raw streams; the streamed path never
-        // materialized them.
+        // The reference path retains raw streams; the engine never
+        // materializes them.
         prop_assert!(batch.scenario.raw.is_some());
         prop_assert!(streamed.scenario.raw.is_none());
-    }
-}
-
-proptest! {
-    /// The parallel-producer batched-fan-out path is indistinguishable
-    /// from both the fused sequential streaming path and the batch path
-    /// across random plans, seeds, shard counts and producer counts:
-    /// identical alert sequences, incidents, scoreboards, ground truth
-    /// and stats counters. This is the pin that lets the parallel path
-    /// replace the others wholesale.
-    #[test]
-    fn run_streamed_parallel_matches_streamed_and_batch(
-        seed in 0u64..4096,
-        benign in 0usize..2,
-        attack_mask in 0u8..64,
-        interactive_mask in 0u8..16,
-        shards in 1usize..5,
-        producers in 1usize..9,
-    ) {
-        let attacks: Vec<AttackClass> = AttackClass::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| attack_mask & (1 << i) != 0)
-            .map(|(_, &c)| c)
-            .collect();
-        let interactive: Vec<InteractiveScenario> = InteractiveScenario::ALL
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| interactive_mask & (1 << i) != 0)
-            .map(|(_, &k)| k)
-            .collect();
-        let plan = CampaignPlan {
-            benign_sessions_per_server: benign,
-            attacks,
-            interactive,
-            horizon_secs: 3600,
-            stretch: 1.0,
-            seed,
-        };
-        let mut par_cfg = tiny_config(seed);
-        par_cfg.shards = Some(shards);
-        par_cfg.producers = Some(producers);
-        let mut p1 = Pipeline::new(par_cfg);
-        let par = p1.run_streamed_parallel(&plan);
-        let mut p2 = Pipeline::new(tiny_config(seed));
-        let streamed = p2.run_streamed(&plan);
-        let mut p3 = Pipeline::new(tiny_config(seed));
-        let batch = p3.run(&plan);
-        prop_assert_eq!(alert_fingerprint(&streamed), alert_fingerprint(&par));
-        prop_assert_eq!(alert_fingerprint(&batch), alert_fingerprint(&par));
-        prop_assert_eq!(incident_fingerprint(&streamed), incident_fingerprint(&par));
-        prop_assert_eq!(
-            streamed.report.scoreboard.as_ref().unwrap().render(),
-            par.report.scoreboard.as_ref().unwrap().render()
-        );
-        prop_assert_eq!(
-            streamed.scenario.ground_truth.len(),
-            par.scenario.ground_truth.len()
-        );
-        for (a, b) in streamed
-            .scenario
-            .ground_truth
-            .iter()
-            .zip(&par.scenario.ground_truth)
-        {
-            prop_assert_eq!(&a.name, &b.name);
-            prop_assert_eq!(a.start, b.start);
-            prop_assert_eq!(a.end, b.end);
-            prop_assert_eq!(&a.servers, &b.servers);
-        }
-        prop_assert_eq!(streamed.scenario.end, par.scenario.end);
-        prop_assert_eq!(streamed.monitor_stats.segments, par.monitor_stats.segments);
-        prop_assert_eq!(streamed.monitor_stats.flows, par.monitor_stats.flows);
-        prop_assert_eq!(streamed.monitor_stats.bytes, par.monitor_stats.bytes);
-        prop_assert_eq!(streamed.monitor_stats.kernel_msgs, par.monitor_stats.kernel_msgs);
-        prop_assert_eq!(streamed.audit_completeness.to_bits(), par.audit_completeness.to_bits());
-        // Parallel streaming never materializes the raw capture.
-        prop_assert!(par.scenario.raw.is_none());
     }
 
     /// Seed-splitting determinism: one plan seed fixes every
@@ -273,7 +202,7 @@ proptest! {
             cfg.shards = Some(2);
             cfg.producers = Some(producers);
             let mut p = Pipeline::new(cfg);
-            let out = p.run_streamed_parallel(&plan);
+            let out = p.run_streamed(&plan);
             (
                 alert_fingerprint(&out),
                 incident_fingerprint(&out),
@@ -463,14 +392,14 @@ proptest! {
     /// traffic and hot-publishes rules mid-capture produces
     /// bit-identical alerts, incidents and published-rule sets whether
     /// the monitors match naively or via the generation-cached
-    /// automata — sequentially and across random shard/producer counts
-    /// on `run_campaigns_streamed_parallel`.
+    /// automata — inline and across random shard/producer counts
+    /// (`None` = the rayon pool width) on `run_campaigns_streamed`.
     #[test]
     fn live_intel_matcher_mode_is_invisible(
         seed in 0u64..2048,
         decoys in 1usize..4,
-        shards in 1usize..5,
-        producers in 1usize..9,
+        shards in proptest::option::of(1usize..5),
+        producers in proptest::option::of(1usize..9),
         prop_secs in 0u64..1_000,
     ) {
         use ja_monitor::matcher::MatchMode;
@@ -480,14 +409,14 @@ proptest! {
             realism: 1.0,
             ..Default::default()
         };
-        let run = |mode: MatchMode, par: Option<(usize, usize)>| {
+        let run = |mode: MatchMode, geometry: Option<(Option<usize>, Option<usize>)>| {
             let mut cfg = tiny_config(seed);
             cfg.deployment.decoys = decoys;
             cfg.intel = Some(intel_cfg.clone());
             cfg.monitor.match_mode = mode;
-            if let Some((s, p)) = par {
-                cfg.shards = Some(s);
-                cfg.producers = Some(p);
+            if let Some((s, p)) = geometry {
+                cfg.shards = s;
+                cfg.producers = p;
             }
             let mut p = Pipeline::new(cfg);
             let mut rng = SimRng::new(seed);
@@ -497,12 +426,7 @@ proptest! {
                 &ja_core::intel::WaveSpec::default(),
                 &mut rng,
             );
-            let campaigns = vec![(SimTime::from_secs(30), wave.campaign)];
-            if par.is_some() {
-                p.run_campaigns_streamed_parallel(campaigns, seed)
-            } else {
-                p.run_campaigns_streamed(campaigns, seed)
-            }
+            p.run_campaigns_streamed(vec![(SimTime::from_secs(30), wave.campaign)], seed)
         };
         let naive_seq = run(MatchMode::Naive, None);
         let compiled_seq = run(MatchMode::Compiled, None);

@@ -1,13 +1,13 @@
 //! The monitor engine: capture in, alerts out.
 //!
-//! All batch entry points are wrappers over the streaming core in
-//! [`crate::streaming`]: `analyze` pushes the capture through one
-//! [`StreamingMonitor`]; `analyze_sharded` partitions records across N
-//! per-shard streaming engines by flow id (rayon) — reassembly *and*
-//! per-flow analysis run shard-parallel with no global sort and no
-//! barrier between the stages — and merges their summaries for the
-//! cross-flow detectors; `analyze_parallel` is `analyze_sharded` at the
-//! rayon pool width (E5's "harness the supercomputer" configuration).
+//! [`Monitor`] holds the configuration every engine shares (rules,
+//! thresholds, TLS-inspection secrets, server attribution) and the
+//! per-flow work the streaming core in [`crate::streaming`] runs at
+//! eviction. It has two entry points: [`Monitor::analyze`], the
+//! reference pass that pushes a materialized capture through one
+//! non-evicting [`StreamingMonitor`], and
+//! [`Monitor::analyze_stream`], the engine proper, which analyzes a
+//! live feed inline or fanned out to flow-sharded worker threads.
 
 use crate::alerts::Alert;
 use crate::analyzers::{analyze_flow, FlowAnalysis};
@@ -21,9 +21,7 @@ use crate::streaming::{StreamingConfig, StreamingMonitor};
 use ja_kernelsim::hub::AuthEvent;
 use ja_netsim::addr::{FiveTuple, HostAddr};
 use ja_netsim::flow::FlowId;
-use ja_netsim::segment::SegmentRecord;
 use ja_netsim::trace::Trace;
-use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
 
 /// Which analysis path the streaming engine runs for flows that
@@ -134,9 +132,10 @@ pub struct MonitorStats {
     /// Kernel messages recovered.
     pub kernel_msgs: u64,
     /// High-water mark of concurrently retained (live) flows. For the
-    /// batch wrappers this equals `flows`; a streaming engine with
-    /// eviction keeps it bounded by concurrency, not capture size. For
-    /// the sharded path it is the sum of per-shard peaks.
+    /// reference pass ([`Monitor::analyze`]) this equals `flows`; a
+    /// streaming engine with eviction keeps it bounded by concurrency,
+    /// not capture size. For the sharded path it is the sum of
+    /// per-shard peaks.
     pub peak_live_flows: u64,
     /// Per-flow alerts dropped by the degraded-mode confidence floor
     /// ([`MonitorConfig::confidence_floor`]). Zero unless the service
@@ -267,46 +266,16 @@ impl Monitor {
         Some((ff, analysis, alerts))
     }
 
-    /// Analyze a capture sequentially: the streaming core in batch
-    /// (no-early-eviction) mode, one engine, one pass.
+    /// Analyze a materialized capture sequentially: the streaming core
+    /// in batch (no-early-eviction) mode, one engine, one pass. This is
+    /// the reference the sharded [`Monitor::analyze_stream`] is pinned
+    /// against.
     pub fn analyze(&self, trace: &Trace) -> (Vec<Alert>, MonitorStats) {
         let mut sm = StreamingMonitor::new(self, StreamingConfig::batch());
         for r in trace.records() {
             sm.push(r);
         }
         sm.finish()
-    }
-
-    /// Analyze a capture with flows partitioned by id across the rayon
-    /// pool (the "harness the supercomputer" configuration).
-    pub fn analyze_parallel(&self, trace: &Trace) -> (Vec<Alert>, MonitorStats) {
-        self.analyze_sharded(trace, rayon::current_num_threads())
-    }
-
-    /// Analyze a capture sharded across `shards` workers: records are
-    /// partitioned by flow id, each shard runs its own streaming engine
-    /// (reassembly + per-flow analysis, no cross-shard barrier until
-    /// the final merge), and the cross-flow detectors run once over the
-    /// merged flow summaries. Alert output is identical to
-    /// [`Monitor::analyze`] for every shard count.
-    pub fn analyze_sharded(&self, trace: &Trace, shards: usize) -> (Vec<Alert>, MonitorStats) {
-        let started = std::time::Instant::now();
-        let n = shards.max(1);
-        let mut buckets: Vec<Vec<&SegmentRecord>> = (0..n).map(|_| Vec::new()).collect();
-        for r in trace.records() {
-            buckets[shard_of(r.flow_id, n)].push(r);
-        }
-        let parts = buckets
-            .par_iter()
-            .map(|bucket| {
-                let mut sm = StreamingMonitor::new(self, StreamingConfig::batch());
-                for r in bucket {
-                    sm.push(r);
-                }
-                sm.into_summary()
-            })
-            .collect();
-        self.finish_summaries(parts, started)
     }
 
     /// Analyze the hub auth log.
@@ -318,8 +287,9 @@ impl Monitor {
     }
 }
 
-/// Shard assignment for a flow id — shared by the batch sharded path and
-/// the streaming fan-out router so both balance identically. A
+/// Shard assignment for a flow id — used by the streaming fan-out
+/// router and by the SOC service's shard-health accounting, so both
+/// see the same per-shard load. A
 /// multiplicative hash rather than `flow_id % n`: campaign-scoped flow
 /// ids are `(campaign << 32) | counter`, so for power-of-two shard
 /// counts a plain modulo would land every campaign's first flow on
@@ -331,6 +301,7 @@ pub fn shard_of(flow_id: u64, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::FanoutSpec;
     use ja_attackgen::campaign::execute;
     use ja_attackgen::{exfiltration, AttackClass};
     use ja_kernelsim::deployment::{Deployment, DeploymentSpec};
@@ -346,18 +317,23 @@ mod tests {
 
     #[test]
     fn sequential_and_parallel_agree() {
+        // The reference pass and the thread fan-out at the host's core
+        // count raise the same alerts over the same flows.
         let (trace, _) = exfil_scenario();
         let m = Monitor::default();
         let (a_seq, s_seq) = m.analyze(&trace);
-        let (a_par, s_par) = m.analyze_parallel(&trace);
-        assert_eq!(a_seq.len(), a_par.len());
+        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let fanout = FanoutSpec::with_shards(cores.max(2));
+        let (a_par, s_par) = m.analyze_stream(fanout, StreamingConfig::batch(), |sink| {
+            for r in trace.records() {
+                sink.accept(r.clone());
+            }
+        });
         assert_eq!(s_seq.flows, s_par.flows);
         assert_eq!(s_seq.kernel_msgs, s_par.kernel_msgs);
         let key = |a: &Alert| (a.time, a.class, a.detail.clone());
-        let mut k1: Vec<_> = a_seq.iter().map(key).collect();
-        let mut k2: Vec<_> = a_par.iter().map(key).collect();
-        k1.sort();
-        k2.sort();
+        let k1: Vec<_> = a_seq.iter().map(key).collect();
+        let k2: Vec<_> = a_par.iter().map(key).collect();
         assert_eq!(k1, k2);
     }
 
@@ -371,7 +347,15 @@ mod tests {
         let key = |a: &Alert| (a.time, a.class, a.detail.clone(), a.host, a.server_id);
         let k1: Vec<_> = a_seq.iter().map(key).collect();
         for shards in [1, 2, 3, 7, 64] {
-            let (a_sh, s_sh) = m.analyze_sharded(&trace, shards);
+            let (a_sh, s_sh) = m.analyze_stream(
+                FanoutSpec::with_shards(shards),
+                StreamingConfig::batch(),
+                |sink| {
+                    for r in trace.records() {
+                        sink.accept(r.clone());
+                    }
+                },
+            );
             let k2: Vec<_> = a_sh.iter().map(key).collect();
             assert_eq!(k1, k2, "shards={shards}");
             assert_eq!(s_seq.flows, s_sh.flows, "shards={shards}");

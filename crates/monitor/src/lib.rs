@@ -16,12 +16,12 @@
 //!   transport allows — plaintext WS yields cell source code; TLS yields
 //!   only flow shapes; TLS-with-inspection yields framing but not E2E
 //!   message bodies.
-//! - **Scalability** (E5): every batch entry point is a wrapper over
-//!   the [`streaming`] core. [`streaming::StreamingMonitor`] consumes
-//!   records incrementally and evicts flows as they close, bounding
-//!   memory by *live* flows; [`engine::Monitor::analyze_sharded`]
-//!   partitions flows across rayon workers by flow id — the paper's
-//!   "harness the power of supercomputers" mitigation.
+//! - **Scalability** (E5): every entry point runs the [`streaming`]
+//!   core. [`streaming::StreamingMonitor`] consumes records
+//!   incrementally and evicts flows as they close, bounding memory by
+//!   *live* flows; [`engine::Monitor::analyze_stream`] fans a live
+//!   feed out to flow-sharded worker threads — the paper's "harness
+//!   the power of supercomputers" mitigation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -13,12 +13,12 @@
 //! sensor run online against unbounded traffic (the paper's E5
 //! "unsustainable overhead" lesson).
 //!
-//! The batch entry points ([`Monitor::analyze`],
-//! [`Monitor::analyze_parallel`], [`Monitor::analyze_sharded`]) are thin
-//! wrappers over this core: they push the whole capture through one or
-//! more streaming engines (one per flow-hash shard) and merge the
-//! results, so every path shares one implementation and produces one
-//! alert set.
+//! Both monitor entry points run this core. [`Monitor::analyze`] pushes
+//! a materialized capture through one non-evicting engine (the
+//! reference pass); [`Monitor::analyze_stream`] drives one engine
+//! inline, or one per flow-hash shard on worker threads, from a live
+//! feed and merges their summaries. Every path shares one
+//! implementation and produces one alert set.
 
 use crate::alerts::Alert;
 use crate::analyzers::Visibility;
@@ -61,7 +61,7 @@ impl StreamingConfig {
     /// Batch mode: never evict early. Every flow is retained until
     /// [`StreamingMonitor::finish`], which makes the result identical
     /// to offline analysis on arbitrarily reordered captures — this is
-    /// what the `Monitor::analyze*` wrappers use.
+    /// what [`Monitor::analyze`] uses.
     pub fn batch() -> Self {
         StreamingConfig {
             idle_timeout: None,
@@ -511,32 +511,18 @@ impl Monitor {
     /// Analyze a *live feed* of records without ever materializing a
     /// trace: `feed` pushes records into the provided [`SegmentSink`]
     /// as they are produced, and the monitor analyzes them as they
-    /// arrive. With `shards == 1` the feed drives a single streaming
-    /// engine inline; with more, records are routed by flow id over
-    /// bounded channels to one worker thread per shard (in chunked
-    /// batches — see [`FanoutSpec`]), so generation overlaps analysis
-    /// and the alert output is identical to [`Monitor::analyze`] on the
-    /// collected capture for every shard count (given an
-    /// equivalence-preserving `cfg` such as
-    /// [`StreamingConfig::close_evict`] on an in-order feed).
+    /// arrive. With `fanout.shards == 1` the feed drives a single
+    /// streaming engine inline (and the sink exposes its
+    /// [`SegmentSink::shard_snapshot`]); with more, records are routed
+    /// by flow id over bounded channels to one worker thread per shard,
+    /// shipped `fanout.chunk` at a time so workers pay one channel
+    /// synchronization per chunk instead of per record. Generation
+    /// overlaps analysis, and the alert output is identical to
+    /// [`Monitor::analyze`] on the collected capture for every shard
+    /// count (given an equivalence-preserving `cfg` such as
+    /// [`StreamingConfig::close_evict`] on an in-order feed, or
+    /// [`StreamingConfig::batch`] on any feed).
     pub fn analyze_stream<F>(
-        &self,
-        shards: usize,
-        cfg: StreamingConfig,
-        feed: F,
-    ) -> (Vec<Alert>, MonitorStats)
-    where
-        F: FnOnce(&mut dyn SegmentSink),
-    {
-        self.analyze_stream_batched(FanoutSpec::with_shards(shards), cfg, feed)
-    }
-
-    /// [`Monitor::analyze_stream`] with explicit fan-out geometry.
-    /// Records are buffered per shard and shipped `fanout.chunk` at a
-    /// time, so shard workers pay one channel synchronization per chunk
-    /// instead of per record — the difference between fan-out overhead
-    /// eating the shard gains and not.
-    pub fn analyze_stream_batched<F>(
         &self,
         fanout: FanoutSpec,
         cfg: StreamingConfig,
@@ -550,8 +536,7 @@ impl Monitor {
         if n == 1 {
             let mut engine = StreamingMonitor::new(self, cfg);
             feed(&mut engine);
-            let summary = engine.into_summary();
-            return self.finish_summaries(vec![summary], started);
+            return engine.finish();
         }
         let chunk = fanout.chunk.max(1);
         std::thread::scope(|scope| {
@@ -617,9 +602,9 @@ impl FanoutSpec {
     }
 }
 
-/// Routes records to per-shard worker channels by flow-id hash (the
-/// same [`crate::engine::shard_of`] the batch sharded path uses),
-/// buffering `chunk` records per shard between sends.
+/// Routes records to per-shard worker channels by flow-id hash
+/// ([`crate::engine::shard_of`]), buffering `chunk` records per shard
+/// between sends.
 struct ShardRouter {
     senders: Vec<std::sync::mpsc::SyncSender<Vec<SegmentRecord>>>,
     buffers: Vec<Vec<SegmentRecord>>,
@@ -831,12 +816,15 @@ mod tests {
         let key = |a: &Alert| (a.time, a.class, a.detail.clone(), a.host, a.server_id);
         let k1: Vec<_> = batch.iter().map(key).collect();
         for shards in [1usize, 2, 3, 8] {
-            let (stream, stats) =
-                m.analyze_stream(shards, StreamingConfig::close_evict(), |sink| {
+            let (stream, stats) = m.analyze_stream(
+                FanoutSpec::with_shards(shards),
+                StreamingConfig::close_evict(),
+                |sink| {
                     for r in trace.records() {
                         sink.accept(r.clone());
                     }
-                });
+                },
+            );
             let k2: Vec<_> = stream.iter().map(key).collect();
             assert_eq!(k1, k2, "shards={shards}");
             assert_eq!(batch_stats.flows, stats.flows, "shards={shards}");
@@ -898,7 +886,8 @@ mod tests {
         let trace = hostile_sessions_trace(&[SimTime::from_secs(100), SimTime::from_secs(5_000)]);
         let m = Monitor::default();
         let feed = m.config.intel.clone();
-        let (alerts, _) = m.analyze_stream(1, StreamingConfig::close_evict(), |sink| {
+        let fanout = FanoutSpec::with_shards(1);
+        let (alerts, _) = m.analyze_stream(fanout, StreamingConfig::close_evict(), |sink| {
             let mut published = false;
             for r in trace.records() {
                 // The intel loop publishes while the capture is running.
@@ -975,12 +964,11 @@ mod tests {
                 chunk: 7,
                 depth: 2,
             };
-            let (_, stats) =
-                m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |sink| {
-                    for r in trace.records() {
-                        sink.accept(r.clone());
-                    }
-                });
+            let (_, stats) = m.analyze_stream(fanout, StreamingConfig::close_evict(), |sink| {
+                for r in trace.records() {
+                    sink.accept(r.clone());
+                }
+            });
             assert_eq!(stats.segments as usize, n_records, "extra={extra}");
             assert_eq!(stats.flows as usize, 3 + extra, "extra={extra}");
         }
@@ -996,8 +984,7 @@ mod tests {
             chunk: 128,
             depth: 8,
         };
-        let (alerts, stats) =
-            m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |_sink| {});
+        let (alerts, stats) = m.analyze_stream(fanout, StreamingConfig::close_evict(), |_sink| {});
         assert!(alerts.is_empty());
         assert_eq!(stats.segments, 0);
         assert_eq!(stats.flows, 0);
@@ -1044,12 +1031,11 @@ mod tests {
             chunk: 16,
             depth: 2,
         };
-        let (stream, stats) =
-            m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |sink| {
-                for r in trace.records() {
-                    sink.accept(r.clone());
-                }
-            });
+        let (stream, stats) = m.analyze_stream(fanout, StreamingConfig::close_evict(), |sink| {
+            for r in trace.records() {
+                sink.accept(r.clone());
+            }
+        });
         assert_eq!(batch_stats.segments, stats.segments);
         assert_eq!(batch_stats.flows, stats.flows);
         assert_eq!(batch_stats.bytes, stats.bytes);
@@ -1070,7 +1056,7 @@ mod tests {
                 depth,
             };
             let (stream, stats) =
-                m.analyze_stream_batched(fanout, StreamingConfig::close_evict(), |sink| {
+                m.analyze_stream(fanout, StreamingConfig::close_evict(), |sink| {
                     for r in trace.records() {
                         sink.accept(r.clone());
                     }

@@ -13,8 +13,11 @@ use jupyter_audit::core::pipeline::{CampaignPlan, FleetJob, Pipeline, PipelineCo
 
 fn main() {
     // Three deployments with different scales, hygiene, and attack mixes.
+    // Every job runs the streamed engine with its own thread geometry:
+    // the labs inline, the campus hub at the rayon pool width.
     let mut campus = PipelineConfig::campus(301);
-    campus.shards = Some(4); // shard the campus monitor across 4 workers
+    campus.shards = None;
+    campus.producers = None;
     let jobs = vec![
         FleetJob::new(
             "physics-lab",
@@ -26,9 +29,9 @@ fn main() {
             PipelineConfig::small_lab(201),
             CampaignPlan::single(AttackClass::DataExfiltration),
         ),
-        // The campus hub streams: its capture is the big one, so it is
-        // analyzed in flight (sharded) without ever materializing it.
-        FleetJob::new("campus-hub", campus, CampaignPlan::full_mix(42)).with_streaming(),
+        // The campus hub's capture is the big one: it is generated and
+        // analyzed in flight across threads, never materialized.
+        FleetJob::new("campus-hub", campus, CampaignPlan::full_mix(42)),
     ];
 
     println!(

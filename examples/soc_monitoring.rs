@@ -18,10 +18,12 @@ use jupyter_audit::netsim::time::Duration;
 
 fn main() {
     let mut config = PipelineConfig::campus(2024);
-    // The "harness the supercomputer" path: segments are routed by flow
-    // id to per-shard streaming engines on worker threads while the
-    // scenario is still being generated.
-    config.parallel = true;
+    // The "harness the supercomputer" geometry: scenario producers and
+    // monitor shards at the rayon pool width, so segments are routed by
+    // flow id to per-shard streaming engines on worker threads while
+    // the scenario is still being generated.
+    config.shards = None;
+    config.producers = None;
     let mut pipeline = Pipeline::new(config);
 
     let outcome = pipeline.run_streamed(&CampaignPlan::full_mix(42));

@@ -123,7 +123,7 @@ fn interactive_escalation_is_detected_on_the_streamed_pipeline() {
 #[test]
 fn notebook_worm_compromises_fleet_and_is_detected() {
     // The worm hops using credentials read from real terminal outputs;
-    // the parallel streamed pipeline must both carry it (ground truth
+    // the fanned-out engine must both carry it (ground truth
     // spanning servers) and catch its credential harvesting fleet-wide.
     let mut cfg = PipelineConfig::small_lab(107);
     cfg.shards = Some(2);
@@ -137,7 +137,7 @@ fn notebook_worm_compromises_fleet_and_is_detected() {
         stretch: 1.0,
         seed: 107,
     };
-    let out = p.run_streamed_parallel(&plan);
+    let out = p.run_streamed(&plan);
     let gt = out
         .scenario
         .ground_truth
@@ -186,10 +186,12 @@ fn dataset_export_round_trips_from_pipeline_output() {
 
 #[test]
 fn campus_scale_run_completes_with_stats() {
+    // The engine at the rayon pool width.
     let mut cfg = PipelineConfig::campus(105);
-    cfg.parallel = true;
+    cfg.shards = None;
+    cfg.producers = None;
     let mut p = Pipeline::new(cfg);
-    let out = p.run(&CampaignPlan::full_mix(105));
+    let out = p.run_streamed(&CampaignPlan::full_mix(105));
     assert!(out.monitor_stats.flows > 10);
     assert!(out.monitor_stats.elapsed_secs > 0.0);
     assert!(out.audit_completeness > 0.9);
